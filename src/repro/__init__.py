@@ -28,8 +28,9 @@ long-lived HTTP/JSON job service over one shared session
 ``repro.search.search``) remain as deprecated wrappers over a default
 session and disappear in 2.0.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every table and figure.
+See the README's "Architecture" section for the system inventory;
+:mod:`repro.experiments` regenerates every table and figure of the
+paper.
 """
 
 from repro.frontend.registry import kernel, Kernel, get_kernel

@@ -11,7 +11,7 @@ subject of the paper's Fig. 9 heat map and the loop-split optimization,
 and the Table I threshold is 1e-10.
 
 The paper scales 20 × 30 × {10..320}; we default to a 4 × 6 base so the
-pure-Python adjoint stays laptop-sized (see EXPERIMENTS.md).
+pure-Python adjoint stays laptop-sized.
 """
 
 from __future__ import annotations

@@ -1,7 +1,13 @@
 """The unified ``python -m repro`` command line.
 
-One CLI over the whole workflow, each subcommand a thin shell around
-one :class:`repro.session.Session` method:
+One CLI over the whole workflow.  The five request commands
+(estimate, sweep, tune, analyze, search) turn their flags into one
+:class:`~repro.session.request.JobSpec` — the spec the serve job server
+takes as JSON, validated the same way — run it through
+:func:`~repro.session.request.execute`, and render its payload as text;
+``--json`` writes that payload, identical to the serve job's result.
+The other commands are thin shells around one
+:class:`repro.session.Session` method (or the server):
 
 ======== ====================================================== =
 command  what it does
@@ -40,47 +46,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from repro.obs import trace as obs_trace
+from repro.session.request import MODELS, JobSpec, execute
 from repro.util.errors import ConfigError, ReproError
 
-_MODELS = ("taylor", "adapt")
-
-
-def _scenarios():
-    from repro.search.orchestrator import app_scenarios
-
-    return app_scenarios()
+#: flags whose ``dest`` names a :class:`JobSpec` field
+_SPEC_FIELDS = {f.name for f in fields(JobSpec)}
 
 
 def _print_scenarios() -> None:
+    from repro.search.orchestrator import app_scenarios
+
     print("available scenarios:")
-    for name, mod in sorted(_scenarios().items()):
+    for name, mod in sorted(app_scenarios().items()):
         scen = mod.search_scenario()
         print(
             f"  {name:14s} kernel={scen.kernel.ir.name:14s} "
             f"threshold={scen.threshold:g} "
             f"candidates={len(scen.candidates)}"
         )
-
-
-def _load_scenario(args):
-    """The app scenario named by ``--kernel``, or ``None`` + exit code."""
-    scenarios = _scenarios()
-    if getattr(args, "list", False) or not args.kernel:
-        _print_scenarios()
-        return None, (0 if getattr(args, "list", False) else 2)
-    if args.kernel not in scenarios:
-        print(
-            f"unknown kernel {args.kernel!r} "
-            f"(available: {sorted(scenarios)})",
-            file=sys.stderr,
-        )
-        return None, 2
-    return scenarios[args.kernel].search_scenario(), 0
 
 
 def _session_for(args):
@@ -104,231 +92,94 @@ def _session_for(args):
     )
 
 
-def _model_instance(name: Optional[str]):
-    if name is None or name == "taylor":
-        return None  # each method's historical default
-    from repro.core.models import AdaptModel
-
-    return AdaptModel()
-
-
 def _write_json(args, payload: Dict[str, object]) -> None:
     if getattr(args, "json", None) is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}")
 
 
-# -- estimate -----------------------------------------------------------------
+def _by_magnitude(per_variable: Dict[str, float]):
+    return sorted(per_variable.items(), key=lambda kv: -abs(kv[1]))
 
 
-def cmd_estimate(args) -> int:
-    scen, code = _load_scenario(args)
-    if scen is None:
-        return code
-    if args.point < 0 or args.point >= len(scen.points):
-        print(
-            f"--point {args.point} out of range "
-            f"(scenario has {len(scen.points)} validation points)",
-            file=sys.stderr,
-        )
-        return 2
-    sess = _session_for(args)
-    point = scen.points[args.point]
-    report = sess.estimate_at(
-        scen.kernel, point, model=_model_instance(args.model)
-    )
-    name = scen.kernel.ir.name
-    print(f"estimate({name}) at validation point {args.point}:")
-    print(f"  value       = {report.value:.17g}")
-    print(f"  total error = {report.total_error:.6g}")
-    print("  per-variable contributions:")
-    for var, err in sorted(
-        report.per_variable.items(), key=lambda kv: -abs(kv[1])
-    ):
-        print(f"    delta[{var:>12s}] = {err:.6g}")
-    _write_json(
-        args,
-        {
-            "kernel": name,
-            "point": args.point,
-            "value": report.value,
-            "total_error": report.total_error,
-            "per_variable": dict(report.per_variable),
-        },
-    )
-    return 0
+# -- estimate / sweep / tune / analyze / search -------------------------------
 
 
-# -- sweep --------------------------------------------------------------------
-
-
-def cmd_sweep(args) -> int:
-    from repro.sweep.aggregate import resolve_aggregator
-
-    scen, code = _load_scenario(args)
-    if scen is None:
-        return code
-    if scen.samples is None:
-        print(
-            f"scenario {args.kernel!r} has no input sweep",
-            file=sys.stderr,
-        )
-        return 2
-    agg_name, agg = resolve_aggregator(args.aggregate)
-    sess = _session_for(args)
-    rep = sess.sweep(
-        scen.kernel,
-        scen.samples,
-        fixed=scen.fixed,
-        model=_model_instance(args.model),
-    )
-    name = scen.kernel.ir.name
-    total = float(agg(np.asarray(rep.total_error)))
-    print(
-        f"sweep({name}): N={rep.n} backend={rep.backend} "
-        f"cached={rep.from_cache}"
-    )
-    print(f"  total error [{agg_name}] = {total:.6g}")
-    print("  per-variable contributions:")
-    rows = sorted(
-        (
-            (v, float(agg(np.asarray(a))))
-            for v, a in rep.per_variable.items()
-        ),
-        key=lambda kv: -abs(kv[1]),
-    )
-    for var, err in rows:
-        print(f"    delta[{var:>12s}] [{agg_name}] = {err:.6g}")
-    _write_json(
-        args,
-        {
-            "kernel": name,
-            "n": rep.n,
-            "backend": rep.backend,
-            "aggregate": agg_name,
-            "total_error": total,
-            "per_variable": dict(rows),
-        },
-    )
-    return 0
-
-
-# -- tune ---------------------------------------------------------------------
-
-
-def cmd_tune(args) -> int:
-    # flags only meaningful in one mode are rejected in the other —
-    # silently dropping them would tune something else than asked
-    if args.robust and args.point is not None:
-        args.parser.error("--point applies to point mode (omit --robust)")
-    if not args.robust and args.aggregate is not None:
-        args.parser.error("--aggregate applies to robust mode (add --robust)")
-    scen, code = _load_scenario(args)
-    if scen is None:
-        return code
-    threshold = (
-        args.threshold if args.threshold is not None else scen.threshold
-    )
-    sess = _session_for(args)
-    if args.robust:
-        if scen.samples is None:
-            print(
-                f"--robust: scenario {args.kernel!r} has no input sweep",
-                file=sys.stderr,
-            )
-            return 2
-        aggregate = args.aggregate or "max"
-        result = sess.tune(
-            scen.kernel,
-            threshold,
-            samples=scen.samples,
-            fixed=scen.fixed,
-            aggregate=aggregate,
-        )
-        mode = f"robust [{aggregate}]"
-    else:
-        point = args.point if args.point is not None else 0
-        if point < 0 or point >= len(scen.points):
-            print(
-                f"--point {point} out of range "
-                f"(scenario has {len(scen.points)} validation points)",
-                file=sys.stderr,
-            )
-            return 2
-        result = sess.tune(
-            scen.kernel, threshold, args=scen.points[point]
-        )
-        mode = f"point {point}"
-    name = scen.kernel.ir.name
-    print(
-        f"tune({name}): {mode}, threshold {threshold:g}"
-    )
-    print(
-        f"  configuration   = "
-        f"{result.config.describe() or '(uniform f64)'}"
-    )
-    print(f"  estimated error = {result.estimated_error:.6g}")
-    print("  contribution ranking (ascending):")
-    for var, err in result.ranking:
-        mark = "demoted" if var in result.demoted else ""
-        print(f"    {var:>14s}  {err:.6g}  {mark}")
-    _write_json(
-        args,
-        {
-            "kernel": name,
-            "threshold": threshold,
-            "mode": mode,
-            "demoted": list(result.demoted),
-            "estimated_error": result.estimated_error,
-            "ranking": [[v, e] for v, e in result.ranking],
-        },
-    )
-    return 0
-
-
-# -- analyze ------------------------------------------------------------------
-
-
-def cmd_analyze(args) -> int:
-    scenarios = _scenarios()
+def cmd_job(args) -> int:
+    """argparse → :class:`JobSpec` → :func:`execute` → text render."""
     if args.list or not args.kernel:
         _print_scenarios()
         return 0 if args.list else 2
-    if args.kernel not in scenarios:
-        print(
-            f"unknown kernel {args.kernel!r} "
-            f"(available: {sorted(scenarios)})",
-            file=sys.stderr,
+    raw = {
+        k: v
+        for k, v in vars(args).items()
+        if k in _SPEC_FIELDS and v is not None
+    }
+    if "strategies" in raw:
+        names = [s for s in raw.pop("strategies").split(",") if s]
+        raw["strategies"] = names or None
+    spec = JobSpec(kind=args.command, **raw)
+    live: List[object] = []
+    with obs_trace.span(f"cli.{spec.kind}", kernel=spec.kernel):
+        payload = execute(
+            spec,
+            _session_for(args),
+            resume=getattr(args, "resume", False),
+            on_result=live.append,
         )
-        return 2
-    sess = _session_for(args)
-    kwargs: Dict[str, object] = {}
-    if args.demote_to is not None:
-        from repro.ir.types import DType
+    return _RENDER[spec.kind](args, payload, live[0])
 
-        kwargs["demote_to"] = DType(args.demote_to)
-    report = sess.analyze(
-        args.kernel, threshold=args.threshold, **kwargs
-    )
-    if args.json == "-":
-        # bare --json: the report is the output — keep stdout pure
-        # JSON so it pipes into jq and the golden-schema tests
-        print(json.dumps(report.to_dict(), indent=2))
-        return 0
-    print(report.render())
-    if args.json is not None:
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n"
-        )
-        print(f"wrote {args.json}")
+
+def _render_estimate(args, p, _report) -> int:
+    print(f"estimate({p['kernel']}) at validation point {p['point']}:")
+    print(f"  value       = {p['value']:.17g}")
+    print(f"  total error = {p['total_error']:.6g}")
+    print("  per-variable contributions:")
+    for var, err in _by_magnitude(p["per_variable"]):
+        print(f"    delta[{var:>12s}] = {err:.6g}")
+    _write_json(args, p)
     return 0
 
 
-# -- search -------------------------------------------------------------------
+def _render_sweep(args, p, _report) -> int:
+    agg = p["aggregate"]
+    print(
+        f"sweep({p['kernel']}): N={p['n']} backend={p['backend']} "
+        f"cached={p['from_cache']}"
+    )
+    print(f"  total error [{agg}] = {p['total_error']:.6g}")
+    print("  per-variable contributions:")
+    for var, err in _by_magnitude(p["per_variable"]):
+        print(f"    delta[{var:>12s}] [{agg}] = {err:.6g}")
+    _write_json(args, p)
+    return 0
 
 
-def _print_search_stats(result) -> None:
-    stats = result.stats or {}
+def _render_tune(args, p, _result) -> int:
+    print(f"tune({p['kernel']}): {p['mode']}, threshold {p['threshold']:g}")
+    print(f"  configuration   = {p['configuration'] or '(uniform f64)'}")
+    print(f"  estimated error = {p['estimated_error']:.6g}")
+    print("  contribution ranking (ascending):")
+    for var, err in p["ranking"]:
+        mark = "demoted" if var in p["demoted"] else ""
+        print(f"    {var:>14s}  {err:.6g}  {mark}")
+    _write_json(args, p)
+    return 0
+
+
+def _render_analyze(args, p, report) -> int:
+    if args.json == "-":
+        # bare --json: the report is the output — keep stdout pure
+        # JSON so it pipes into jq and the golden-schema tests
+        print(json.dumps(p, indent=2))
+        return 0
+    print(report.render())
+    _write_json(args, p)
+    return 0
+
+
+def _print_search_stats(stats: Optional[Dict[str, object]]) -> None:
+    stats = stats or {}
     ev = stats.get("evaluator", {})
     if ev:
         mode = ev.get("pool_mode") or "off (per-candidate)"
@@ -373,6 +224,28 @@ def _print_search_stats(result) -> None:
         )
 
 
+def _render_search(args, p, result) -> int:
+    print(result.summary())
+    _print_search_stats(p["stats"])
+    if p["profile"] is not None:
+        from repro.obs.profile import format_summary
+
+        print(f"trace profile ({args.trace}):")
+        print(format_summary(p["profile"]))
+    _write_json(args, p)
+    ok = len(result.front) > 0 and result.front.is_consistent()
+    return 0 if ok else 1
+
+
+_RENDER = {
+    "estimate": _render_estimate,
+    "sweep": _render_sweep,
+    "tune": _render_tune,
+    "analyze": _render_analyze,
+    "search": _render_search,
+}
+
+
 def _run_plan(args) -> int:
     """Orchestrator mode (``plan`` subcommand, or legacy
     ``search --plan``/``search --all``)."""
@@ -399,47 +272,20 @@ def _run_plan(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from repro.obs import trace as obs_trace
-
     if args.resume and not args.store:
         args.parser.error("--resume requires --store")
     if (args.plan or args.all) and not args.store:
         args.parser.error("--plan/--all require --store")
 
-    trace_path = getattr(args, "trace", None)
-    if trace_path is not None:
-        obs_trace.enable(trace_path)
+    if args.trace is not None:
+        obs_trace.enable(args.trace)
     try:
         if args.plan or args.all:
             return _run_plan(args)
-
-        scen, code = _load_scenario(args)
-        if scen is None:
-            return code
-        sess = _session_for(args)
-        overrides: Dict[str, object] = {}
-        if args.budget is not None:
-            overrides["budget"] = args.budget
-        if args.threshold is not None:
-            overrides["threshold"] = args.threshold
-        if args.store is not None:
-            overrides["resume"] = args.resume
-        with obs_trace.span("cli.search", kernel=args.kernel):
-            result = scen.run(session=sess, **overrides)
+        return cmd_job(args)
     finally:
-        if trace_path is not None:
+        if args.trace is not None:
             obs_trace.disable()
-
-    print(result.summary())
-    _print_search_stats(result)
-    if result.profile is not None:
-        from repro.obs.profile import format_summary
-
-        print(f"trace profile ({trace_path}):")
-        print(format_summary(result.profile))
-    _write_json(args, result.to_dict())
-    ok = len(result.front) > 0 and result.front.is_consistent()
-    return 0 if ok else 1
 
 
 # -- runs ---------------------------------------------------------------------
@@ -573,7 +419,6 @@ def cmd_dist_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.obs import trace as obs_trace
     from repro.serve import run_server
     from repro.session import Session, SessionConfig
 
@@ -683,10 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_kernel_flags(sp, with_point=True)
     sp.add_argument(
-        "--model", choices=_MODELS, default="taylor",
+        "--model", choices=MODELS, default="taylor",
         help="error model (default: taylor, Eq. 1)",
     )
-    sp.set_defaults(func=cmd_estimate, parser=sp)
+    sp.set_defaults(func=cmd_job, parser=sp)
 
     # sweep
     sp = sub.add_parser(
@@ -695,14 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_kernel_flags(sp)
     sp.add_argument(
-        "--model", choices=_MODELS, default="taylor",
+        "--model", choices=MODELS, default="taylor",
         help="error model (default: taylor, Eq. 1)",
     )
     sp.add_argument(
         "--aggregate", default="max",
         help="batch-axis aggregation: max|mean|p95|... (default max)",
     )
-    sp.set_defaults(func=cmd_sweep, parser=sp)
+    sp.set_defaults(func=cmd_job, parser=sp)
 
     # tune
     sp = sub.add_parser(
@@ -727,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--aggregate", default=None,
         help="robust-mode aggregation (default max = worst case)",
     )
-    sp.set_defaults(func=cmd_tune, parser=sp)
+    sp.set_defaults(func=cmd_job, parser=sp)
 
     # analyze
     sp = sub.add_parser(
@@ -759,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full report as JSON — to PATH, or to stdout "
              "when no path is given",
     )
-    sp.set_defaults(func=cmd_analyze, parser=sp)
+    sp.set_defaults(func=cmd_job, parser=sp)
 
     # search
     sp = sub.add_parser(

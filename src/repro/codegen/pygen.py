@@ -6,7 +6,7 @@ definition.  Options:
 
 * ``counting`` — additionally accumulate the cost model's simulated
   cycles into ``_cost`` and return it (the "performance measurement"
-  substrate; see DESIGN.md),
+  substrate; see :mod:`repro.interp.cost_model`),
 * ``approx`` — affects only the *cost constants* baked in counting mode;
   the actual approximate implementations are chosen by the runtime
   bindings (:mod:`repro.codegen.runtime`).

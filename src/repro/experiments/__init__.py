@@ -9,9 +9,8 @@ Entry points:
 * :mod:`repro.experiments.fig9` — the HPCCG sensitivity heat map and
   loop-split analysis.
 
-See EXPERIMENTS.md for paper-versus-measured results and the scaling
-notes (problem sizes are laptop-scaled; shapes, not absolute numbers,
-are the reproduction target).
+Problem sizes are laptop-scaled; shapes, not absolute numbers, are the
+reproduction target.
 """
 
 from repro.experiments.measure import (

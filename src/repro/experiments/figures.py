@@ -6,8 +6,8 @@ bars (time) and lines (memory) of the paper's Figs. 4–8.  ADAPT's
 missing top points (its cluster OOMs in Figs. 4, 7, 8) are reproduced
 by the tape memory budget.
 
-Sizes are laptop-scaled relative to the paper (documented per figure
-in EXPERIMENTS.md); pass ``full=True`` for the larger sweeps.
+Sizes are laptop-scaled relative to the paper; pass ``full=True`` for
+the larger sweeps.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Tables I–IV of the paper's evaluation.
 
 Each ``table*`` function returns ``(headers, rows)`` ready for
-:func:`repro.experiments.render.ascii_table`; the numbers land in
-EXPERIMENTS.md next to the paper's values.
+:func:`repro.experiments.render.ascii_table`.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ semantic ground truth against which generated code is tested, and the
 engine used for mixed-precision "actual error" validation runs on small
 sizes.  The cost model (:mod:`repro.interp.cost_model`) assigns simulated
 cycle costs to every operation by precision — the substitute for the
-hardware float/double speed difference that pure Python cannot express
-(see DESIGN.md, substitution table).
+hardware float/double speed difference that pure Python cannot
+express.
 """
 
 from repro.interp.interpreter import run_function, Interpreter

@@ -1,9 +1,9 @@
 """Simulated performance model.
 
 Pure Python cannot observe the speed difference between binary32 and
-binary64 arithmetic, so — per the substitution rule in DESIGN.md — the
-paper's *performance* axis is modelled with per-operation cycle costs
-that reflect typical superscalar CPU behaviour:
+binary64 arithmetic, so the paper's *performance* axis is modelled
+with per-operation cycle costs that reflect typical superscalar CPU
+behaviour:
 
 * arithmetic on narrower floats is cheaper (f32 ≈ half of f64),
 * memory traffic scales with element width (array load/store costs),

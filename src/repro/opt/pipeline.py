@@ -2,7 +2,7 @@
 
 Levels mirror a compiler's ``-O`` flags:
 
-* 0 — no optimization (ablation baseline A1 in DESIGN.md),
+* 0 — no optimization (the ablation baseline),
 * 1 — constant folding / algebraic simplification to a fixpoint,
 * 2 — folding + local CSE of intrinsic calls + dead-code elimination,
   iterated (DCE exposes folds and vice versa).

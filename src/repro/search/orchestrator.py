@@ -85,6 +85,20 @@ def app_scenarios() -> Dict[str, object]:
     }
 
 
+def app_scenario(name: str):
+    """The named app's default :class:`SearchScenario`.
+
+    :raises UnknownNameError: ``name`` is not an app scenario.
+    """
+    scenarios = app_scenarios()
+    if name not in scenarios:
+        raise UnknownNameError(
+            f"unknown kernel {name!r}: unknown app scenario "
+            f"(available: {sorted(scenarios)})"
+        )
+    return scenarios[name].search_scenario()
+
+
 @dataclass
 class PlanEntry:
     """One scenario of a search plan."""

@@ -11,10 +11,11 @@ a stream of requests exactly what they do for a single script, and
 Stdlib only (asyncio + a tiny HTTP/1.1 layer in
 :mod:`~repro.serve.http`); no web framework.
 
-* :mod:`~repro.serve.jobs` — :class:`JobSpec` (frozen, validated,
-  content-hash ids so identical submissions dedupe),
-  :class:`JobRegistry` (bounded queue, budgets, deadlines, cooperative
-  cancel), :class:`JobJournal` (atomic per-job records);
+* :mod:`~repro.serve.jobs` — :class:`JobRegistry` (bounded queue,
+  budgets, deadlines, cooperative cancel) running
+  :class:`~repro.session.request.JobSpec` requests (frozen, validated,
+  content-hash ids so identical submissions dedupe; the spec the CLI
+  builds too), :class:`JobJournal` (atomic per-job records);
 * :mod:`~repro.serve.app` — the route table, pure and
   transport-free;
 * :mod:`~repro.serve.metrics` — the ``/v1/metrics`` snapshot;

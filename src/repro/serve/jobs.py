@@ -1,8 +1,11 @@
 """Job model of the tuning service: specs, lifecycle, journal, registry.
 
 A **job** is one unit of client-requested work — an estimate, sweep,
-tune, static analysis, or search over a named app scenario.  The design leans on the
-properties the rest of the library already guarantees:
+tune, static analysis, or search over a named app scenario — given as
+the :class:`~repro.session.request.JobSpec` the CLI builds too, and
+run through the same :func:`~repro.session.request.execute`.  The
+registry adds only server policy, leaning on the properties the rest
+of the library already guarantees:
 
 * job ids are **content hashes** of the (validated, normalized) job
   spec, so identical submissions dedupe into one job instead of
@@ -28,18 +31,18 @@ enforced cooperatively through the search driver's ``on_batch`` hook
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.session.request import JobSpec, execute
 from repro.util import atomio
 from repro.util.retry import DEFAULT_IO_POLICY
 from repro.util.errors import ConfigError, ReproError, UnknownNameError
@@ -47,9 +50,6 @@ from repro.util.errors import ConfigError, ReproError, UnknownNameError
 _JOB_SECONDS = obs_metrics.REGISTRY.histogram(
     "repro_job_duration_seconds", "job execution latency (started→finished)"
 )
-
-#: job kinds, mirroring the Session workflow methods
-KINDS = ("estimate", "sweep", "tune", "analyze", "search")
 
 #: lifecycle states
 QUEUED = "queued"
@@ -75,187 +75,6 @@ class JobCancelled(JobInterrupted):
 
 class JobTimeout(JobInterrupted):
     """The job exceeded its wall-clock deadline."""
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """A frozen, validated job request — the unit of content identity.
-
-    Follows the :class:`~repro.session.config.SessionConfig`
-    discipline: plain JSON-expressible fields, validation on
-    construction, a stable content hash (:attr:`job_id`).  Two
-    requests that normalize to the same spec are the *same job*.
-    """
-
-    #: one of :data:`KINDS`
-    kind: str
-    #: app scenario name (``"blackscholes"``, ``"kmeans"``, ...)
-    kernel: str
-    #: error threshold (tune/search; ``None``: scenario default)
-    threshold: Optional[float] = None
-    #: evaluation budget (search; ``None``: scenario default)
-    budget: Optional[int] = None
-    #: strategy line-up (search; ``None``: session default)
-    strategies: Optional[Tuple[str, ...]] = None
-    #: RNG seed (search)
-    seed: int = 0
-    #: validation point index (estimate / point-mode tune)
-    point: int = 0
-    #: distribution-robust tuning over the scenario sweep (tune)
-    robust: bool = False
-    #: sweep/robust-tune aggregation name (``None``: worst case)
-    aggregate: Optional[str] = None
-    #: per-job wall-clock deadline in seconds (``None``: server default)
-    timeout_s: Optional[float] = None
-    #: fan a search out into N seed-varied shard runs executed by the
-    #: distributed worker fleet (search; ``None``: no fan-out)
-    shards: Optional[int] = None
-    #: fleet worker processes for a sharded search (search;
-    #: ``None`` with ``shards`` set: 2)
-    fleet_workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(
-                f"job kind must be one of {list(KINDS)}, "
-                f"got {self.kind!r}"
-            )
-        if not isinstance(self.kernel, str) or not self.kernel:
-            raise ConfigError(
-                f"kernel must be an app scenario name, got {self.kernel!r}"
-            )
-        for name, kinds in (
-            ("threshold", ("tune", "analyze", "search")),
-            ("budget", ("search",)),
-            ("strategies", ("search",)),
-            ("aggregate", ("sweep", "tune")),
-            ("shards", ("search",)),
-            ("fleet_workers", ("search",)),
-        ):
-            if getattr(self, name) is not None and self.kind not in kinds:
-                # silently dropping a knob would run a different job
-                # than the client asked for
-                raise ConfigError(
-                    f"{name}= applies to {'/'.join(kinds)} jobs, "
-                    f"not {self.kind!r}"
-                )
-        if self.robust and self.kind != "tune":
-            raise ConfigError("robust= applies to tune jobs only")
-        if self.threshold is not None:
-            object.__setattr__(self, "threshold", float(self.threshold))
-            if not self.threshold > 0:
-                raise ConfigError(
-                    f"threshold must be > 0, got {self.threshold!r}"
-                )
-        if self.budget is not None:
-            try:
-                object.__setattr__(self, "budget", int(self.budget))
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"budget must be an integer, got {self.budget!r}"
-                ) from None
-            if self.budget < 1:
-                raise ConfigError(
-                    f"budget must be >= 1, got {self.budget!r}"
-                )
-        if self.strategies is not None:
-            if isinstance(self.strategies, str):
-                raise ConfigError(
-                    "strategies must be a sequence of names, not a "
-                    f"bare string — got {self.strategies!r}"
-                )
-            object.__setattr__(
-                self, "strategies", tuple(self.strategies)
-            )
-            bad = [s for s in self.strategies if not isinstance(s, str)]
-            if bad:
-                raise ConfigError(
-                    f"strategies must be names (str), got {bad!r}"
-                )
-        for name in ("seed", "point"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, int(value))
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{name} must be an integer, got {value!r}"
-                ) from None
-        if self.point < 0:
-            raise ConfigError(f"point must be >= 0, got {self.point!r}")
-        object.__setattr__(self, "robust", bool(self.robust))
-        if self.aggregate is not None and not isinstance(
-            self.aggregate, str
-        ):
-            raise ConfigError(
-                f"aggregate must be a name, got {self.aggregate!r}"
-            )
-        if self.timeout_s is not None:
-            object.__setattr__(self, "timeout_s", float(self.timeout_s))
-            if not self.timeout_s > 0:
-                raise ConfigError(
-                    f"timeout_s must be > 0, got {self.timeout_s!r}"
-                )
-        for name in ("shards", "fleet_workers"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            try:
-                object.__setattr__(self, name, int(value))
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{name} must be an integer, got {value!r}"
-                ) from None
-            if getattr(self, name) < 1:
-                raise ConfigError(
-                    f"{name} must be >= 1, got {value!r}"
-                )
-
-    # -- serialization -------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """The full normalized field set (JSON-expressible)."""
-        out: Dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: object) -> "JobSpec":
-        """Build a spec from a wire payload.
-
-        :raises ConfigError: non-mapping payloads, unknown keys, or
-            invalid values (HTTP 400 at the API surface).
-        """
-        if not isinstance(raw, dict):
-            raise ConfigError(
-                f"job spec must be a JSON object, got "
-                f"{type(raw).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(
-                f"job spec: unknown keys {unknown} "
-                f"(known: {sorted(known)})"
-            )
-        data = dict(raw)
-        if isinstance(data.get("strategies"), list):
-            data["strategies"] = tuple(data["strategies"])
-        return cls(**data)  # type: ignore[arg-type]
-
-    @property
-    def job_id(self) -> str:
-        """Content-addressed job id.
-
-        Explicit defaults and omitted fields normalize identically, so
-        ``{"kind": "search", "kernel": "kmeans"}`` and the same spec
-        with ``"seed": 0`` spelled out are one job.
-        """
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        return f"job-{digest[:16]}"
 
 
 @dataclass
@@ -476,45 +295,15 @@ class JobRegistry:
             self._count("journal_failures")
 
     # -- submission ----------------------------------------------------------
-    def _scenario(self, spec: JobSpec):
-        from repro.search.orchestrator import app_scenarios
-
-        scenarios = app_scenarios()
-        if spec.kernel not in scenarios:
-            raise UnknownNameError(
-                f"unknown app scenario {spec.kernel!r} "
-                f"(available: {sorted(scenarios)})"
-            )
-        return scenarios[spec.kernel].search_scenario()
-
     def _validate(self, spec: JobSpec) -> None:
-        """Submission-time validation: surface bad requests as HTTP 400
+        """Submission-time checks — the spec against its scenario,
+        then server policy — so bad requests surface as HTTP 400
         instead of failed jobs."""
-        scen = self._scenario(spec)
-        if spec.kind in ("estimate",) or (
-            spec.kind == "tune" and not spec.robust
-        ):
-            if spec.point >= len(scen.points):
-                raise ConfigError(
-                    f"point {spec.point} out of range (scenario "
-                    f"{spec.kernel!r} has {len(scen.points)} "
-                    f"validation points)"
-                )
-        if spec.kind == "sweep" or (spec.kind == "tune" and spec.robust):
-            if scen.samples is None:
-                raise ConfigError(
-                    f"scenario {spec.kernel!r} has no input sweep"
-                )
-        if spec.kind == "sweep" or spec.kind == "tune":
-            if spec.aggregate is not None:
-                from repro.sweep.aggregate import resolve_aggregator
-
-                resolve_aggregator(spec.aggregate)
+        scen = spec.scenario()
         if spec.kind == "search":
             # a sharded search spends ``budget`` per shard — cap the
             # aggregate, not the per-shard slice
-            effective = spec.budget if spec.budget else scen.budget
-            effective *= spec.shards or 1
+            effective = (spec.budget or scen.budget) * (spec.shards or 1)
             if self.max_budget is not None and effective > self.max_budget:
                 raise ConfigError(
                     f"budget {effective} exceeds the server cap "
@@ -526,16 +315,6 @@ class JobRegistry:
                 raise ConfigError(
                     "sharded search requires the server run store"
                 )
-
-    def _search_overrides(self, spec: JobSpec) -> Dict[str, object]:
-        overrides: Dict[str, object] = {"seed": spec.seed}
-        if spec.threshold is not None:
-            overrides["threshold"] = spec.threshold
-        if spec.budget is not None:
-            overrides["budget"] = spec.budget
-        if spec.strategies is not None:
-            overrides["strategies"] = spec.strategies
-        return overrides
 
     def submit(
         self,
@@ -583,7 +362,7 @@ class JobRegistry:
                 # resolved through the same scenario/default pipeline
                 # the execution uses, so the id always matches the run
                 job.run_id = self.session.search_run_id(
-                    spec.kernel, **self._search_overrides(spec)
+                    spec.kernel, **spec.search_overrides()
                 )
             self._jobs[job.id] = job
             self._count("submitted")
@@ -736,94 +515,21 @@ class JobRegistry:
             self._finish(job, COMPLETED, result=result)
 
     def _execute(self, job: Job) -> Dict[str, object]:
-        """Dispatch one job onto the shared session (worker thread)."""
-        import numpy as np
+        """Run one job on the shared session (worker thread).
 
-        from repro.sweep.aggregate import resolve_aggregator
-
+        Searches stay durable and resumable, and are cancellable
+        between computed batches; sharded searches fan out to the
+        worker fleet."""
         spec = job.spec
-        scen = self._scenario(spec)
-        sess = self.session
-        base = {"kind": spec.kind, "kernel": spec.kernel}
-        if spec.kind == "estimate":
-            report = sess.estimate_at(scen.kernel, scen.points[spec.point])
-            return {
-                **base,
-                "point": spec.point,
-                "value": report.value,
-                "total_error": report.total_error,
-                "per_variable": dict(report.per_variable),
-            }
-        if spec.kind == "sweep":
-            agg_name, agg = resolve_aggregator(spec.aggregate or "max")
-            rep = sess.sweep(scen.kernel, scen.samples, fixed=scen.fixed)
-            return {
-                **base,
-                "n": rep.n,
-                "backend": rep.backend,
-                "from_cache": rep.from_cache,
-                "aggregate": agg_name,
-                "total_error": float(agg(np.asarray(rep.total_error))),
-                "per_variable": {
-                    v: float(agg(np.asarray(a)))
-                    for v, a in rep.per_variable.items()
-                },
-            }
-        if spec.kind == "tune":
-            threshold = (
-                spec.threshold
-                if spec.threshold is not None
-                else scen.threshold
-            )
-            if spec.robust:
-                result = sess.tune(
-                    scen.kernel,
-                    threshold,
-                    samples=scen.samples,
-                    fixed=scen.fixed,
-                    aggregate=spec.aggregate or "max",
-                )
-                mode = f"robust [{spec.aggregate or 'max'}]"
-            else:
-                result = sess.tune(
-                    scen.kernel,
-                    threshold,
-                    args=scen.points[spec.point],
-                )
-                mode = f"point {spec.point}"
-            return {
-                **base,
-                "threshold": threshold,
-                "mode": mode,
-                "configuration": result.config.describe(),
-                "demoted": list(result.demoted),
-                "estimated_error": result.estimated_error,
-                "ranking": [[v, e] for v, e in result.ranking],
-            }
-        if spec.kind == "analyze":
-            # static analysis: no execution, no sweep — the report is
-            # the result payload (schema of AnalysisReport.to_dict)
-            threshold = (
-                spec.threshold
-                if spec.threshold is not None
-                else scen.threshold
-            )
-            report = sess.analyze(spec.kernel, threshold=threshold)
-            return {**base, **report.to_dict()}
-        # search: durable, resumable, cancellable between batches —
-        # resolved by scenario name through the same pipeline as the
-        # submission-time run id
         if spec.shards or spec.fleet_workers:
-            return {**base, **self._execute_fleet(job, spec)}
-        result = sess.search(
-            spec.kernel,
-            resume=sess.store is not None,
+            return self._execute_fleet(spec)
+        return execute(
+            spec,
+            self.session,
             on_batch=lambda n: self._check_interrupt(job, n),
-            **self._search_overrides(spec),
         )
-        return {**base, **result.to_dict()}
 
-    def _execute_fleet(self, job: Job, spec: JobSpec) -> Dict[str, object]:
+    def _execute_fleet(self, spec: JobSpec) -> Dict[str, object]:
         """Fan a search job out across the distributed worker fleet.
 
         Shard runs land in the server's own store, so a re-submitted
@@ -833,18 +539,15 @@ class JobRegistry:
         from repro.dist.fleet import run_fleet
         from repro.search.orchestrator import PlanEntry
 
-        sess = self.session
-        if sess.store is None:
-            raise ConfigError("sharded search requires the server run store")
         entry = PlanEntry(
-            scenario=spec.kernel, overrides=self._search_overrides(spec)
+            scenario=spec.kernel, overrides=spec.search_overrides()
         )
         fleet = run_fleet(
             [entry],
-            sess.store,
+            self.session.store,
             workers=spec.fleet_workers or 2,
             shards=spec.shards or 1,
-            session_config=sess.config,
+            session_config=self.session.config,
             deadline_s=spec.timeout_s or self.default_timeout_s,
         )
         if not fleet.completed:
@@ -853,7 +556,10 @@ class JobRegistry:
                 f"fleet search left {len(fleet.entries) - done}"
                 f"/{len(fleet.entries)} shard run(s) incomplete"
             )
-        return fleet.to_dict()
+        return {
+            "kernel": spec.scenario().kernel.ir.name,
+            **fleet.to_dict(),
+        }
 
     # -- watchdog ------------------------------------------------------------
     def watchdog_sweep(
@@ -967,11 +673,7 @@ class JobRegistry:
                 "counters": dict(self.counters),
                 "states": states,
                 "queue": {
-                    "depth": sum(
-                        1
-                        for j in self._jobs.values()
-                        if j.state == QUEUED
-                    ),
+                    "depth": states.get(QUEUED, 0),
                     "capacity": self.max_queue,
                     "workers": self.workers,
                 },

@@ -353,15 +353,9 @@ class Session:
         from repro.search.scenario import SearchScenario
 
         if isinstance(k, str):
-            from repro.search.orchestrator import app_scenarios
+            from repro.search.orchestrator import app_scenario
 
-            scenarios = app_scenarios()
-            if k not in scenarios:
-                raise UnknownNameError(
-                    f"unknown app scenario {k!r} "
-                    f"(available: {sorted(scenarios)})"
-                )
-            k = scenarios[k].search_scenario()
+            k = app_scenario(k)
         if isinstance(k, SearchScenario):
             scen = k
             if points is None:

@@ -3,8 +3,9 @@
 Given a precision configuration, run the demoted program against the
 uniform-f64 reference to obtain the *actual* introduced error (the
 "Actual Error" columns of Tables I and III), and compare simulated
-cycle counts to obtain the speedup (the performance substitution of
-DESIGN.md — pure Python cannot observe f32 hardware speedups).
+cycle counts to obtain the speedup (modelled by
+:mod:`repro.interp.cost_model` — pure Python cannot observe f32
+hardware speedups).
 
 Search loops validate many configurations against one reference:
 :func:`measure_reference` runs the reference once and the result feeds

@@ -3,11 +3,16 @@ the app scenarios, ``--help`` snapshots, exit codes on bad arguments,
 JSON output, and the run-store management subcommand."""
 
 import json
+import time
 
 import pytest
 
 from repro.cli import main as cli
 from repro.search.store import RunStore
+from repro.serve import JobRegistry
+from repro.session import Session
+from repro.session.request import JobSpec
+from repro.util.errors import ConfigError
 
 #: fast search arguments shared by the store-backed tests
 _FAST = ["--budget", "3", "--strategies", "greedy"]
@@ -131,6 +136,27 @@ class TestBadArgs:
     def test_robust_tune_without_samples_exits_2(self, capsys):
         assert cli(["tune", "--kernel", "kmeans", "--robust"]) == 2
         assert "no input sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,spec",
+        [
+            (["tune", "--kernel", "blackscholes", "--threshold", "-1"],
+             {"kind": "tune", "kernel": "blackscholes", "threshold": -1}),
+            (["tune", "--kernel", "blackscholes", "--threshold", "0"],
+             {"kind": "tune", "kernel": "blackscholes", "threshold": 0}),
+            (["search", "--kernel", "kmeans", "--budget", "0"],
+             {"kind": "search", "kernel": "kmeans", "budget": 0}),
+            (["tune", "--kernel", "kmeans", "--aggregate", "max"],
+             {"kind": "tune", "kernel": "kmeans", "aggregate": "max"}),
+        ],
+    )
+    def test_values_serve_rejects_exit_2(self, argv, spec, capsys):
+        # the CLI rejects exactly what the job server answers 400 for,
+        # with the shared spec's message
+        with pytest.raises(ConfigError) as exc:
+            JobSpec.from_dict(spec)
+        assert cli(argv) == 2
+        assert f"error: {exc.value}" in capsys.readouterr().err
 
     def test_bad_aggregate_is_usage_error(self, capsys):
         # ConfigError raised mid-command maps to exit 2, like argparse
@@ -350,3 +376,66 @@ class TestRuns:
         ) == 0
         payload = json.loads(out.read_text())
         assert len(payload["runs"]) == 1
+
+
+# -- one payload per kind -----------------------------------------------------
+
+
+#: session identity and timings — the only keys allowed to differ
+_VOLATILE = {"provenance", "stats", "profile", "wall_time"}
+
+
+def _serve_result(spec, store):
+    reg = JobRegistry(Session(store=store), workers=1)
+    try:
+        job, _ = reg.submit(JobSpec.from_dict(spec))
+        deadline = time.monotonic() + 120
+        while reg.get(job.id).state not in ("completed", "failed"):
+            assert time.monotonic() < deadline, "job did not finish"
+            time.sleep(0.05)
+        assert job.state == "completed", job.error
+        return json.loads(json.dumps(job.result))
+    finally:
+        reg.close()
+
+
+class TestServeParity:
+    @pytest.mark.parametrize(
+        "argv,spec",
+        [
+            (["estimate", "--kernel", "kmeans", "--point", "1"],
+             {"kind": "estimate", "kernel": "kmeans", "point": 1}),
+            (["sweep", "--kernel", "blackscholes", "--aggregate", "p95"],
+             {"kind": "sweep", "kernel": "blackscholes",
+              "aggregate": "p95"}),
+            (["tune", "--kernel", "kmeans", "--threshold", "1e-6"],
+             {"kind": "tune", "kernel": "kmeans", "threshold": 1e-6}),
+            (["tune", "--kernel", "blackscholes", "--robust"],
+             {"kind": "tune", "kernel": "blackscholes", "robust": True}),
+            (["analyze", "simpsons", "--demote-to", "f16"],
+             {"kind": "analyze", "kernel": "simpsons", "demote_to": "f16"}),
+            (["search", "--kernel", "kmeans", *_FAST],
+             {"kind": "search", "kernel": "kmeans", "budget": 3,
+              "strategies": ["greedy"]}),
+        ],
+        ids=["estimate", "sweep", "tune-point", "tune-robust", "analyze",
+             "search"],
+    )
+    def test_cli_json_equals_serve_result(self, argv, spec, tmp_path,
+                                          capsys):
+        out = tmp_path / "cli.json"
+        assert cli(
+            [*argv, "--store", str(tmp_path / "cli-runs"), "--json",
+             str(out)]
+            if spec["kind"] == "search" else [*argv, "--json", str(out)]
+        ) == 0
+        capsys.readouterr()
+        via_cli = json.loads(out.read_text())
+        via_serve = _serve_result(spec, tmp_path / "serve-runs")
+        for payload in (via_cli, via_serve):
+            for key in _VOLATILE:
+                payload.pop(key, None)
+        assert via_cli == via_serve
+        if spec["kind"] == "search":
+            assert via_cli["run_id"] is not None
+            assert via_cli["front"]

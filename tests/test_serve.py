@@ -96,6 +96,13 @@ class TestJobSpec:
             other = JobSpec.from_dict({**_SEARCH_SPEC, **delta})
             assert other.job_id != base.job_id, delta
 
+    def test_default_model_spelled_out_is_one_job(self):
+        spelled = JobSpec.from_dict(
+            {"kind": "estimate", "kernel": "kmeans", "model": "taylor"}
+        )
+        short = JobSpec.from_dict({"kind": "estimate", "kernel": "kmeans"})
+        assert spelled == short and spelled.job_id == short.job_id
+
     def test_roundtrip(self):
         spec = JobSpec.from_dict(_SEARCH_SPEC)
         assert JobSpec.from_dict(spec.to_dict()) == spec
@@ -117,6 +124,15 @@ class TestJobSpec:
             {"kind": "search", "kernel": "kmeans", "timeout_s": 0},
             {"kind": "search", "kernel": "kmeans", "bogus": 1},
             ["kind", "search"],
+            # knobs the kind would ignore
+            {"kind": "tune", "kernel": "blackscholes", "aggregate": "p95"},
+            {"kind": "tune", "kernel": "kmeans", "robust": True, "point": 1},
+            {"kind": "sweep", "kernel": "blackscholes", "point": 1},
+            {"kind": "analyze", "kernel": "kmeans", "point": 1},
+            {"kind": "search", "kernel": "kmeans", "point": 1},
+            {"kind": "tune", "kernel": "kmeans", "model": "adapt"},
+            {"kind": "estimate", "kernel": "kmeans", "model": "cena"},
+            {"kind": "analyze", "kernel": "kmeans", "demote_to": "f64"},
         ],
     )
     def test_invalid_specs_rejected(self, raw):
@@ -689,7 +705,10 @@ class TestServerProcess:
             assert status == 201
             status, payload = client.wait_result(payload["id"])
             assert status == 200
-            assert payload["result"]["kind"] == "estimate"
+            # the estimate payload (kind lives on the job record)
+            assert set(payload["result"]) == {
+                "kernel", "point", "value", "total_error", "per_variable",
+            }
         finally:
             proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 0
