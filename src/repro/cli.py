@@ -189,7 +189,11 @@ def _print_search_stats(stats: Optional[Dict[str, object]]) -> None:
             f"config_batch={mode} "
             f"pool_runs={ev.get('pool_runs')} "
             f"pool_lanes={ev.get('pool_lanes')} "
-            f"pool_fallbacks={ev.get('pool_fallbacks')}"
+            f"pool_fallbacks={ev.get('pool_fallbacks')} "
+            f"adjoint_builds={ev.get('adjoint_builds')} "
+            f"estimate_lane_runs={ev.get('estimate_lane_runs')} "
+            f"estimate_lanes={ev.get('estimate_lanes')} "
+            f"estimate_fallbacks={ev.get('estimate_fallbacks')}"
         )
     memo = stats.get("estimator_memo", {})
     if memo:

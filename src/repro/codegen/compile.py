@@ -35,6 +35,7 @@ from repro.interp.cost_model import (
 from repro.ir import nodes as N
 from repro.ir.fingerprint import ir_fingerprint
 from repro.ir.types import (
+    MACHINE_EPS,
     PROMOTION_RANK,
     ArrayType,
     DType,
@@ -42,7 +43,7 @@ from repro.ir.types import (
 )
 from repro.ir.typecheck import infer_types
 from repro.ir.visitor import walk_stmts
-from repro.util.errors import ExecutionError, ReproError
+from repro.util.errors import ExecutionError, ExpectedFallback
 
 
 class CompiledFunction:
@@ -186,16 +187,19 @@ def compile_primal(fn: N.Function, approx: Optional[Set[str]] = None) -> Compile
 # code to each configuration at *runtime*.  Lowering runs the exact
 # dtype re-inference ``apply_precision`` performs — so each lane's
 # rounding points and cycle charges match the per-config scalar path
-# bit for bit — but compiles nothing.
+# bit for bit — but compiles nothing.  The same holds for a kernel's
+# error-estimating adjoint: built once over the baseline precisions,
+# it is lowered against the primal's configurations (``primal=``), so
+# one compiled adjoint estimates every configuration of a search.
 
 
-class ConfigLoweringError(ReproError):
+class ConfigLoweringError(ExpectedFallback):
     """A configuration pool cannot be lowered onto the compiled lanes.
 
-    Signals a structural/semantic limitation (e.g. a config targeting a
-    non-float variable, or a per-config adjoint whose optimized shape
-    diverged from the baseline).  Callers fall back to the per-config
-    scalar path — results are identical either way, only slower.
+    Signals a semantic limitation (a config targeting a non-float
+    variable, whose demotion would change integer semantics).  Callers
+    fall back to the per-config scalar path — results are identical
+    either way, only slower.
     """
 
 
@@ -376,6 +380,10 @@ _SEL_MAP = np.array(
     dtype=np.int8,
 )
 _F64_CODE = _RANK_CODE[DType.F64]
+#: rank code -> machine epsilon (NaN for non-float codes)
+_EPS_BY_CODE = np.array(
+    [MACHINE_EPS.get(dt, np.nan) for dt in _CODE_ORDER], dtype=np.float64
+)
 #: floats occupy the top of the promotion order; ``code >= _FLOAT_MIN``
 #: is the vectorized ``is_float`` test (checked here so a lattice
 #: change in repro.ir.types cannot silently break the lowering)
@@ -387,19 +395,23 @@ assert all(
 
 
 class _LoweringPlan:
-    """Per-program precomputation shared by every pool lowering."""
+    """Per-program precomputation shared by every pool lowering.
 
-    def __init__(self, program: ConfigLaneProgram) -> None:
-        fn = program.fn
+    ``primal`` is the function whose variables configurations name:
+    the program's own function, or — for an adjoint program — the
+    primal it was generated from.
+    """
+
+    def __init__(self, program: ConfigLaneProgram, primal: N.Function) -> None:
         self.base_codes: Dict[str, int] = {
             name: _RANK_CODE[dt]
             for name, dt in program.var_baseline.items()
         }
         #: resolvable names in the order resolve_targets scans them,
         #: each with its set of inlined-prefix keys that can match it
-        names = [p.name for p in fn.params] + [
+        names = [p.name for p in primal.params] + [
             s.name
-            for s in walk_stmts(fn.body)
+            for s in walk_stmts(primal.body)
             if isinstance(s, N.VarDecl)
         ]
         self.name_match: List[Tuple[str, frozenset]] = []
@@ -414,12 +426,24 @@ class _LoweringPlan:
                 if name[i:].startswith("_in")
             )
             self.name_match.append((name, prefixes))
+        #: program-only declarations with an initializer (optimizer
+        #: temporaries of an adjoint): typed by their initializer, in
+        #: program order
+        self.derived: List[N.VarDecl] = [
+            s
+            for s in walk_stmts(program.fn.body)
+            if isinstance(s, N.VarDecl)
+            and s.init is not None
+            and s.name not in seen
+        ]
 
 
-def _plan_for(program: ConfigLaneProgram) -> _LoweringPlan:
+def _plan_for(
+    program: ConfigLaneProgram, primal: Optional[N.Function] = None
+) -> _LoweringPlan:
     plan = getattr(program, "_plan", None)
     if plan is None:
-        plan = _LoweringPlan(program)
+        plan = _LoweringPlan(program, primal or program.fn)
         program._plan = plan  # type: ignore[attr-defined]
     return plan
 
@@ -607,6 +631,7 @@ def lower_config_pool(
     configs: Sequence[object],
     cost_model: CostModel = DEFAULT_COST_MODEL,
     approx: Optional[Set[str]] = None,
+    primal: Optional[N.Function] = None,
 ) -> LoweredConfigPool:
     """Derive lane parameters for a pool of precision configurations.
 
@@ -617,6 +642,16 @@ def lower_config_pool(
     config — the scalar path's own machinery) would; the test suite
     holds the two to bitwise agreement.
 
+    With ``primal``, ``program`` renders the error-estimating adjoint of
+    ``primal`` (built once, over the baseline precisions) and the pool
+    specializes it to each configuration's adjoint.  The typing pass
+    then draws dtype codes from three sources: ``primal``'s variables,
+    which keep their names in the adjoint, take each lane's configured
+    precision; adjoint and error registers keep their declared F64;
+    declarations only the optimizer introduced take the codes of their
+    initializer.  :class:`~repro.ir.nodes.EpsConst` sites get the
+    machine epsilon of their variable's precision in each lane.
+
     :raises KeyError: if a configuration names unknown variables (the
         same error the scalar path raises).
     :raises ConfigLoweringError: if a configuration targets a variable
@@ -625,25 +660,26 @@ def lower_config_pool(
     k = len(configs)
     if k == 0:
         raise ValueError("empty configuration pool")
-    plan = _plan_for(program)
-    fn = program.fn
+    plan = _plan_for(program, primal)
+    name = (primal or program.fn).name
     env: Dict[str, object] = dict(plan.base_codes)
     for j, config in enumerate(configs):
-        targets = _fast_targets(plan, fn.name, config)
-        for name, dt in targets.items():
-            base = plan.base_codes[name]
+        targets = _fast_targets(plan, name, config)
+        for var, dt in targets.items():
+            base = plan.base_codes[var]
             if base < _FLOAT_MIN:
                 raise ConfigLoweringError(
-                    f"{fn.name}: config targets non-float "
-                    f"variable {name!r}"
+                    f"{name}: config targets non-float variable {var!r}"
                 )
-            cur = env[name]
+            cur = env[var]
             if isinstance(cur, int):
                 cur = np.full(k, cur, dtype=np.int64)
-                env[name] = cur
+                env[var] = cur
             cur[j] = _RANK_CODE[dt]
 
     ev = _PoolEval(env, cost_model, approx)
+    for decl in plan.derived:
+        env[decl.name], _ = ev.expr(decl.init)  # type: ignore[arg-type]
 
     def sel_codes(codes: object) -> np.ndarray:
         if isinstance(codes, int):
@@ -656,11 +692,9 @@ def lower_config_pool(
             codes, _ = ev.expr(site.node)  # type: ignore[arg-type]
         elif site.kind == "store":
             node = site.node
-            name = node.base if isinstance(node, N.Index) else node.id  # type: ignore[union-attr]
-            codes = env[name]
-        elif site.kind == "decl":
-            codes = env[site.node.name]  # type: ignore[attr-defined]
-        else:  # "param"
+            var = node.base if isinstance(node, N.Index) else node.id  # type: ignore[union-attr]
+            codes = env[var]
+        else:  # "decl", "param"
             codes = env[site.node.name]  # type: ignore[attr-defined]
         if isinstance(codes, int) and _SEL_MAP[codes] == 0:
             selectors.append(None)
@@ -694,195 +728,18 @@ def lower_config_pool(
             charges.append(
                 _pack_row(np.asarray(cost, dtype=np.float64), k)
             )
-    consts: List[object] = [
-        float(c.value) for c in program.const_sites  # type: ignore[union-attr]
-    ]
+
+    consts: List[object] = []
+    for c in program.const_sites:
+        if isinstance(c, N.EpsConst):
+            eps = _EPS_BY_CODE[env[c.var]]
+            consts.append(
+                float(eps) if np.ndim(eps) == 0 else _pack_row(eps, k)
+            )
+        else:
+            consts.append(float(c.value))
     return LoweredConfigPool(
         k=k, selectors=selectors, charges=charges, consts=consts
-    )
-
-
-# -- structural pairing (used to lower pools onto *derived* functions) ------
-
-
-def _pair_fail(what: str) -> "ConfigLoweringError":
-    return ConfigLoweringError(
-        f"variant function structure diverged from baseline ({what})"
-    )
-
-
-def _pair_expr(a: N.Expr, b: N.Expr, out: Dict[int, object]) -> None:
-    if type(a) is not type(b):
-        raise _pair_fail(f"{type(a).__name__} vs {type(b).__name__}")
-    out[id(a)] = b
-    if isinstance(a, N.Const):
-        if type(a.value) is not type(b.value):  # type: ignore[union-attr]
-            raise _pair_fail("constant kind")
-        if not isinstance(a.value, float) and a.value != b.value:  # type: ignore[union-attr]
-            # non-float constants are inlined in the generated source,
-            # so a value change cannot be expressed as a lane parameter
-            raise _pair_fail("non-float constant value")
-    elif isinstance(a, N.Name):
-        if a.id != b.id:  # type: ignore[union-attr]
-            raise _pair_fail("name")
-    elif isinstance(a, N.Index):
-        if a.base != b.base:  # type: ignore[union-attr]
-            raise _pair_fail("index base")
-        _pair_expr(a.index, b.index, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.BinOp):
-        if a.op != b.op:  # type: ignore[union-attr]
-            raise _pair_fail("operator")
-        _pair_expr(a.left, b.left, out)  # type: ignore[union-attr]
-        _pair_expr(a.right, b.right, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.UnaryOp):
-        if a.op != b.op:  # type: ignore[union-attr]
-            raise _pair_fail("operator")
-        _pair_expr(a.operand, b.operand, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.Call):
-        if a.fn != b.fn or len(a.args) != len(b.args):  # type: ignore[union-attr]
-            raise _pair_fail("call")
-        for xa, xb in zip(a.args, b.args):  # type: ignore[union-attr]
-            _pair_expr(xa, xb, out)
-    elif isinstance(a, N.Cast):
-        if a.to is not b.to:  # type: ignore[union-attr]
-            raise _pair_fail("cast target")
-        _pair_expr(a.operand, b.operand, out)  # type: ignore[union-attr]
-
-
-def _pair_lvalue(a: N.LValue, b: N.LValue, out: Dict[int, object]) -> None:
-    if type(a) is not type(b):
-        raise _pair_fail("lvalue kind")
-    out[id(a)] = b
-    if isinstance(a, N.Name):
-        if a.id != b.id:  # type: ignore[union-attr]
-            raise _pair_fail("store target")
-    else:
-        if a.base != b.base:  # type: ignore[union-attr]
-            raise _pair_fail("store base")
-        _pair_expr(a.index, b.index, out)  # type: ignore[union-attr]
-
-
-def _pair_stmt(a: N.Stmt, b: N.Stmt, out: Dict[int, object]) -> None:
-    if type(a) is not type(b):
-        raise _pair_fail(f"{type(a).__name__} vs {type(b).__name__}")
-    out[id(a)] = b
-    if isinstance(a, N.VarDecl):
-        if a.name != b.name:  # type: ignore[union-attr]
-            raise _pair_fail("decl name")
-        if (a.init is None) != (b.init is None):  # type: ignore[union-attr]
-            raise _pair_fail("decl initializer")
-        if a.init is not None:
-            _pair_expr(a.init, b.init, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.Assign):
-        _pair_lvalue(a.target, b.target, out)  # type: ignore[union-attr]
-        _pair_expr(a.value, b.value, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.For):
-        if a.var != b.var:  # type: ignore[union-attr]
-            raise _pair_fail("loop variable")
-        _pair_expr(a.lo, b.lo, out)  # type: ignore[union-attr]
-        _pair_expr(a.hi, b.hi, out)  # type: ignore[union-attr]
-        _pair_expr(a.step, b.step, out)  # type: ignore[union-attr]
-        _pair_body(a.body, b.body, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.While):
-        _pair_expr(a.cond, b.cond, out)  # type: ignore[union-attr]
-        _pair_body(a.body, b.body, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.If):
-        _pair_expr(a.cond, b.cond, out)  # type: ignore[union-attr]
-        _pair_body(a.then, b.then, out)  # type: ignore[union-attr]
-        _pair_body(a.orelse, b.orelse, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.Return):
-        _pair_expr(a.value, b.value, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.ReturnTuple):
-        if len(a.values) != len(b.values):  # type: ignore[union-attr]
-            raise _pair_fail("return arity")
-        for xa, xb in zip(a.values, b.values):  # type: ignore[union-attr]
-            _pair_expr(xa, xb, out)
-    elif isinstance(a, N.ExprStmt):
-        _pair_expr(a.value, b.value, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.Push):
-        if a.stack != b.stack:  # type: ignore[union-attr]
-            raise _pair_fail("stack")
-        _pair_expr(a.value, b.value, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.Pop):
-        if a.stack != b.stack:  # type: ignore[union-attr]
-            raise _pair_fail("stack")
-        _pair_lvalue(a.target, b.target, out)  # type: ignore[union-attr]
-    elif isinstance(a, N.PopDiscard):
-        if a.stack != b.stack:  # type: ignore[union-attr]
-            raise _pair_fail("stack")
-    elif isinstance(a, N.TraceAppend):
-        if a.trace != b.trace:  # type: ignore[union-attr]
-            raise _pair_fail("trace")
-        _pair_expr(a.value, b.value, out)  # type: ignore[union-attr]
-
-
-def _pair_body(
-    xs: Sequence[N.Stmt], ys: Sequence[N.Stmt], out: Dict[int, object]
-) -> None:
-    if len(xs) != len(ys):
-        raise _pair_fail("body length")
-    for a, b in zip(xs, ys):
-        _pair_stmt(a, b, out)
-
-
-def pair_functions(a: N.Function, b: N.Function) -> Dict[int, object]:
-    """Map ``id(node) -> node`` between two structurally equal functions.
-
-    Constants may differ in (float) value and every node may differ in
-    dtype annotations — that is the whole point: ``b`` is typically a
-    per-config derivation of ``a`` (a demoted clone, or the adjoint of a
-    demoted primal) whose lane parameters we want to read off.
-
-    :raises ConfigLoweringError: on any structural divergence.
-    """
-    if len(a.params) != len(b.params):
-        raise _pair_fail("parameter count")
-    out: Dict[int, object] = {}
-    for pa, pb in zip(a.params, b.params):
-        if pa.name != pb.name:
-            raise _pair_fail("parameter name")
-        out[id(pa)] = pb
-    _pair_body(a.body, b.body, out)
-    return out
-
-
-def lower_config_pool_zip(
-    program: ConfigLaneProgram,
-    variants: Sequence[N.Function],
-) -> LoweredConfigPool:
-    """Lower a pool by pairing the program against per-config *derived*
-    functions (e.g. adjoints regenerated from demoted primals).
-
-    Used when the per-config function cannot be produced by dtype
-    re-assignment alone; each variant must be structurally identical to
-    the program's baseline function (verified node by node).  Charge
-    sites are not supported — counting code goes through
-    :func:`lower_config_pool`.
-    """
-    if program.charge_sites:
-        raise ConfigLoweringError(
-            "zip lowering does not support counting programs"
-        )
-    k = len(variants)
-    if k == 0:
-        raise ValueError("empty variant pool")
-    rs = np.zeros((len(program.round_sites), k), dtype=np.int8)
-    cs = np.zeros((len(program.const_sites), k), dtype=np.float64)
-    for j, var_fn in enumerate(variants):
-        mapping = pair_functions(program.fn, var_fn)
-        for i, site in enumerate(program.round_sites):
-            node = mapping[id(site.node)]
-            rs[i, j] = _dtype_code(_site_dtype(site.kind, node))
-        for i, cnode in enumerate(program.const_sites):
-            cs[i, j] = mapping[id(cnode)].value  # type: ignore[attr-defined]
-    return LoweredConfigPool(
-        k=k,
-        selectors=[
-            runtime.LaneSelector.from_codes(rs[i])
-            for i in range(len(program.round_sites))
-        ],
-        charges=[],
-        consts=_pack_rows(cs, k),
     )
 
 
@@ -908,9 +765,14 @@ class ConfigLaneKernel:
         configs: Sequence[object],
         cost_model: CostModel = DEFAULT_COST_MODEL,
         approx: Optional[Set[str]] = None,
+        primal: Optional[N.Function] = None,
     ) -> LoweredConfigPool:
         return lower_config_pool(
-            self.program, configs, cost_model=cost_model, approx=approx
+            self.program,
+            configs,
+            cost_model=cost_model,
+            approx=approx,
+            primal=primal,
         )
 
     def __call__(self, pool: LoweredConfigPool, *args: object) -> object:
@@ -947,6 +809,12 @@ _CK_CAPACITY = obs_metrics.REGISTRY.gauge(
     "repro_config_kernel_capacity", "config-lane kernel cache capacity"
 )
 _CK_CAPACITY.set(_CONFIG_KERNEL_MEMO_MAX)
+#: expected fallbacks off the lane engine, wherever taken: kernels the
+#: config-lane generator cannot render, pools lowering cannot express
+LANE_FALLBACKS = obs_metrics.REGISTRY.counter(
+    "repro_lane_fallbacks_total",
+    "expected fallbacks from config lanes to a per-config path",
+)
 _CK_COMPILE_SECONDS = obs_metrics.REGISTRY.histogram(
     "repro_kernel_compile_seconds", "config-lane kernel codegen+compile latency"
 )
@@ -1006,7 +874,9 @@ def config_lane_kernel(
                     allow_arrays=allow_arrays,
                 )
             except UnvectorizableError:
+                # the span closes as an expected fallback, not an error
                 _CK_UNVEC.inc()
+                LANE_FALLBACKS.inc()
                 raise
             g = runtime.config_lane_bindings(approx=approx)
             if extra_bindings:

@@ -49,10 +49,10 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 from repro.ir import nodes as N
 from repro.ir.types import ArrayType, DType
 from repro.ir.visitor import walk_expr, walk_stmts
-from repro.util.errors import ReproError
+from repro.util.errors import ExpectedFallback
 
 
-class UnvectorizableError(ReproError):
+class UnvectorizableError(ExpectedFallback):
     """The function cannot be compiled to batch (array-at-a-time) form.
 
     Callers are expected to catch this and fall back to a scalar loop —

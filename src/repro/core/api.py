@@ -29,7 +29,11 @@ from repro.ir import nodes as N
 from repro.util.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sweep.batch import BatchReport, ConfigBatchReport
+    from repro.sweep.batch import (
+        BatchReport,
+        ConfigBatchedEstimator,
+        ConfigBatchReport,
+    )
 
 KernelLike = Union[Kernel, N.Function]
 
@@ -48,20 +52,36 @@ def build_adjoint(
 ) -> N.Function:
     """Reverse-mode transform + optimization pipeline, no compilation.
 
-    The IR half of estimator construction, shared by the compiled
-    scalar path (:class:`_AdjointRunner`) and the config-batched
-    estimator, which regenerates per-config adjoints only to read their
-    lane parameters off.
+    The IR half of an adjoint build (:class:`_AdjointRunner` adds the
+    compilation).  Each half runs in its own span,
+    ``estimate.transform`` and ``estimate.optimize``.  A search builds
+    the error-estimating adjoint once, over the baseline precisions:
+    every configuration's adjoint differs from it only in dtypes and
+    :class:`~repro.ir.nodes.EpsConst` values, which config-lane
+    lowering supplies per lane (``ErrorEstimator.execute_config_batch``).
     """
-    transformer = ReverseModeTransformer(
-        primal, extension=extension, minimal_pushes=minimal_pushes
-    )
-    adjoint = transformer.transform()
+    with obs_trace.span("estimate.transform", kernel=primal.name):
+        transformer = ReverseModeTransformer(
+            primal, extension=extension, minimal_pushes=minimal_pushes
+        )
+        adjoint = transformer.transform()
     if opt_level > 0:
         from repro.opt.pipeline import optimize
 
-        adjoint = optimize(adjoint, level=opt_level)
+        with obs_trace.span("estimate.optimize", level=opt_level):
+            adjoint = optimize(adjoint, level=opt_level)
     return adjoint
+
+
+#: adjoint builds per thread; callers take deltas around their own
+#: work (the search cost ledger counts its builds this way)
+_BUILDS = threading.local()
+
+
+def adjoint_builds() -> int:
+    """Adjoint builds (transform + optimize + compile) performed so far
+    on the calling thread."""
+    return getattr(_BUILDS, "n", 0)
 
 
 class _AdjointRunner:
@@ -89,10 +109,12 @@ class _AdjointRunner:
             )
             self.adjoint = adjoint
             self.layout = adjoint.meta["adjoint"]
-            self.compiled: CompiledFunction = compile_raw(
-                adjoint, extra_bindings=extra_bindings
-            )
+            with obs_trace.span("estimate.compile"):
+                self.compiled: CompiledFunction = compile_raw(
+                    adjoint, extra_bindings=extra_bindings
+                )
         _BUILD_SECONDS.observe(time.perf_counter() - t0)
+        _BUILDS.n = adjoint_builds() + 1
         self._n_primal_params = len(primal.params)
 
     @property
@@ -266,6 +288,16 @@ class ErrorEstimator:
             self._batched = BatchedErrorEstimator(self)
         return self._batched.execute(*args)
 
+    @property
+    def config_batched(self) -> "ConfigBatchedEstimator":
+        """The config-batch façade over this estimator (built lazily;
+        holds the compiled config-lane adjoint)."""
+        if self._config_batched is None:
+            from repro.sweep.batch import ConfigBatchedEstimator
+
+            self._config_batched = ConfigBatchedEstimator(self)
+        return self._config_batched
+
     def execute_config_batch(
         self, configs: Sequence[object], *args: object
     ) -> "ConfigBatchReport":
@@ -277,16 +309,14 @@ class ErrorEstimator:
         length-N sweep arrays), so the result covers a K × N grid of
         (configuration, input point) pairs.  Per (config, point) the
         numbers equal what a freshly built estimator of the demoted
-        kernel would report — the vectorized backend reuses this
-        estimator's compiled lanes (compile-once), with a transparent
-        per-config fallback where the kernel (or a config) cannot be
-        expressed as lane parameters.
+        kernel would report.  The vectorized backend runs this
+        estimator's own adjoint, compiled once in config-lane form, with
+        each configuration's precisions as lane parameters — no
+        per-config adjoint build — and falls back to one estimator per
+        configuration where the kernel, model or pool cannot be
+        expressed that way.
         """
-        if self._config_batched is None:
-            from repro.sweep.batch import ConfigBatchedEstimator
-
-            self._config_batched = ConfigBatchedEstimator(self)
-        return self._config_batched.execute(configs, *args)
+        return self.config_batched.execute(configs, *args)
 
 
 def gradient(k: KernelLike, **kwargs: object) -> Gradient:

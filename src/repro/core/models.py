@@ -56,6 +56,14 @@ class ErrorModel:
     #: (:class:`ExternalModel`) must opt out
     cacheable = True
 
+    #: whether :meth:`error_expr` depends on the assigned variable's
+    #: storage precision only through its expression dtypes and
+    #: :class:`~repro.ir.nodes.EpsConst` constants.  Then the adjoint of
+    #: the baseline kernel serves every precision configuration as lane
+    #: parameters (``ErrorEstimator.execute_config_batch``); models that
+    #: do not promise it get one adjoint build per configuration.
+    precision_parametric = False
+
     def fingerprint(self) -> str:
         """Stable identity string for result caching and estimator reuse.
 
@@ -127,6 +135,7 @@ class TaylorModel(ErrorModel):
     """
 
     name = "taylor"
+    precision_parametric = True
 
     def __init__(self, precision: Optional[DType] = None) -> None:
         #: override: estimate as if every variable were stored at this
@@ -141,12 +150,13 @@ class TaylorModel(ErrorModel):
         dt = target.dtype or DType.F64
         if not dt.is_float:
             return None
-        eps = machine_eps(self.precision or dt)
+        if self.precision is not None:
+            eps: N.Expr = b.const(machine_eps(self.precision))
+        else:
+            # tagged: lowering refills it per configuration lane
+            eps = N.EpsConst(machine_eps(dt), _target_name(target))
         return b.fabs(
-            b.mul(
-                b.const(eps),
-                b.mul(_target_read(target), b.clone(adjoint)),
-            )
+            b.mul(eps, b.mul(_target_read(target), b.clone(adjoint)))
         )
 
     def input_error(self, name, value, adjoint):
@@ -175,6 +185,7 @@ class AdaptModel(ErrorModel):
     """
 
     name = "adapt"
+    precision_parametric = True
 
     def __init__(self, demote_to: DType = DType.F32) -> None:
         self.demote_to = demote_to
@@ -266,6 +277,13 @@ class ApproxModel(ErrorModel):
     def cacheable(self) -> bool:  # type: ignore[override]
         return self.fallthrough is None or self.fallthrough.cacheable
 
+    @property
+    def precision_parametric(self) -> bool:  # type: ignore[override]
+        return (
+            self.fallthrough is None
+            or self.fallthrough.precision_parametric
+        )
+
     def fingerprint(self) -> str:
         m = ",".join(f"{v}={f}" for v, f in sorted(self.var_to_fn.items()))
         ft = self.fallthrough.fingerprint() if self.fallthrough else "-"
@@ -348,6 +366,7 @@ class CenaModel(ErrorModel):
     """
 
     name = "cena"
+    precision_parametric = True
 
     _SATURATE = 1e300
 

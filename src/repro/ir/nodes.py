@@ -53,6 +53,21 @@ class Const(Expr):
 
 
 @dataclass
+class EpsConst(Const):
+    """The machine epsilon of variable ``var``'s storage precision.
+
+    Error models emit it where their arithmetic depends on a variable's
+    precision.  It is a :class:`Const` to code generation and
+    interpretation, but it prints as ``eps(var)``, the optimizer never
+    folds it, and config-lane lowering fills its value per lane from
+    the precision ``var`` has in that lane — so one adjoint serves
+    every precision configuration.
+    """
+
+    var: str
+
+
+@dataclass
 class Name(Expr):
     """A read of a scalar variable."""
 

@@ -22,6 +22,8 @@ _PRECEDENCE = {
 
 def format_expr(e: N.Expr, parent_prec: int = 0) -> str:
     """Render an expression with minimal parentheses."""
+    if isinstance(e, N.EpsConst):
+        return f"eps({e.var})"
     if isinstance(e, N.Const):
         if isinstance(e.value, bool):
             return "True" if e.value else "False"

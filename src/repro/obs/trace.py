@@ -22,8 +22,11 @@ file, carrying:
 * ``thread`` / ``pid`` — writer attribution: forked search workers
   inherit the tracer and append to the same file, and their records
   are distinguished by pid;
-* ``status`` — ``"ok"``, or ``"error:<ExcType>"`` when the traced
-  block raised (the exception still propagates).
+* ``status`` — ``"ok"``; ``"fallback"`` (plus ``site``/``reason``
+  attributes) when the block raised an
+  :class:`~repro.util.errors.ExpectedFallback` — its caller takes a
+  slower equivalent path; otherwise ``"error:<ExcType>"`` when the
+  traced block raised (the exception still propagates).
 
 Write discipline: the trace file is opened ``O_APPEND`` and every
 record is a single ``os.write`` of one complete line, so concurrent
@@ -49,6 +52,8 @@ import time
 import uuid
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
+
+from repro.util.errors import ExpectedFallback
 
 __all__ = [
     "Span",
@@ -119,7 +124,11 @@ class Span:
         self.dur_s = (
             time.perf_counter() - self._tracer.epoch - self.t_start
         )
-        if exc_type is not None:
+        if isinstance(exc, ExpectedFallback):
+            # the caller takes a slower equivalent path: not a failure
+            self.status = "fallback"
+            self.attrs.update(site=self.name, reason=str(exc))
+        elif exc_type is not None:
             self.status = f"error:{getattr(exc_type, '__name__', exc_type)}"
         stack = self._stack
         if stack and stack[-1] is self:

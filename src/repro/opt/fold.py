@@ -10,6 +10,10 @@ Rewrites (value-preserving on finite inputs; exprs in this IR are pure):
 * casts of constants → rounded constants,
 * ``fabs(fabs(x))`` → ``fabs(x)``.
 
+:class:`~repro.ir.nodes.EpsConst` operands are left alone: their value
+depends on the precision configuration, which config-lane lowering
+supplies per lane after optimization.
+
 The adjoint generator leans on this heavily: seeds multiplied by unit
 partials produce long ``_t * 1.0`` chains that fold away.
 """
@@ -25,7 +29,12 @@ from repro.ir.visitor import Transformer
 
 
 def _const_value(e: N.Expr) -> Optional[float]:
-    if isinstance(e, N.Const) and not isinstance(e.value, bool):
+    # EpsConst values are per-configuration lane parameters: never fold
+    if (
+        isinstance(e, N.Const)
+        and not isinstance(e, N.EpsConst)
+        and not isinstance(e.value, bool)
+    ):
         return e.value  # type: ignore[return-value]
     return None
 

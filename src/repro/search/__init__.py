@@ -12,8 +12,9 @@ multi-objective search over (error, modelled cycles):
   distribution is given, by a distribution-robust estimated error from
   the batched sweep engine (content-addressed cache included).  Whole
   proposal pools score in one pass through the compile-once
-  config-batched lane kernel (``repro.codegen``), bit-identical to the
-  per-candidate path;
+  config-batched lane kernel (``repro.codegen``) and estimate in one
+  pass through the search's one error-estimating adjoint, compiled in
+  config-lane form — bit-identical to the per-candidate path;
 * :mod:`~repro.search.strategies` — the :class:`SearchStrategy`
   interface and registry: the paper's greedy pass as a baseline
   adapter, Precimonious-style delta debugging, simulated annealing with

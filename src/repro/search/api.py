@@ -463,10 +463,12 @@ def run_search(
     :param error_metric: how actual and estimated errors combine into
         the Pareto error axis (``"worst"``, ``"actual"``,
         ``"estimate"``).
-    :param config_batch: score proposal pools through the compile-once
-        config-batched kernel (default).  ``False`` forces the PR-2
-        per-candidate compile-and-run path; results are bit-identical,
-        only slower.
+    :param config_batch: score and estimate proposal pools through the
+        compile-once config-lane kernels — the primal's counting kernel
+        and the error-estimating adjoint, built once (default).
+        ``False`` forces the per-candidate compile-and-run path (one
+        adjoint build per candidate); results are bit-identical, only
+        slower.
     :param store: optional persistent :class:`RunStore` (or directory).
         Evaluation history checkpoints to a content-addressed run
         directory after every ``checkpoint_every`` computed batches, so

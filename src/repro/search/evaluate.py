@@ -7,9 +7,11 @@ A candidate's fitness is two numbers:
   *actual* error of executing the demoted program at the validation
   points (:mod:`repro.tuning.validate`), and — when an input
   distribution is supplied — the *estimated* worst-case error of the
-  demoted program over the whole sweep (the PR-1 batch engine with the
-  Taylor model, served through the content-addressed result cache so
-  re-proposed configurations are free).
+  demoted program over the whole sweep (the Taylor model by default).
+  The error-estimating adjoint is built once per search, over the
+  baseline kernel; each proposal pool's estimates come from one
+  config-lane execution of it (``ErrorEstimator.execute_config_batch``),
+  with an optional content-addressed sweep cache in front.
 * **cycles** — modelled execution cost of the demoted program, from the
   cycle-counting code variant summed over the validation points.
 
@@ -35,15 +37,21 @@ from typing import (
 
 import numpy as np
 
-from repro.codegen.compile import ConfigLoweringError
-from repro.core.api import KernelLike
+from repro.codegen.compile import ConfigLoweringError, LANE_FALLBACKS
+from repro.core.api import KernelLike, adjoint_builds, cached_error_estimator
 from repro.frontend.registry import Kernel
 from repro.interp.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.ir import nodes as N
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sweep.aggregate import AggregatorSpec, resolve_aggregator
-from repro.sweep.engine import CacheLike, run_sweep
+from repro.sweep.cache import make_key
+from repro.sweep.engine import (
+    CacheLike,
+    _resolve_cache,
+    build_args,
+    run_sweep,
+)
 from repro.tuning.config import PrecisionConfig, apply_precision
 from repro.util.errors import ConfigError, InvalidRecordError, StoreError
 from repro.tuning.validate import (
@@ -141,16 +149,31 @@ class CandidateEvaluator:
     :param aggregate: how per-sample estimates reduce (default worst
         case, matching ``robust_tune``).
     :param cache: optional :class:`repro.sweep.SweepCache` (or directory)
-        for the per-candidate sweeps — configurations re-proposed across
-        strategies, runs, or processes become cache hits.
+        for the per-candidate sweep estimates — configurations
+        re-proposed across strategies, runs, or processes become cache
+        hits.
     :param error_metric: ``"worst"`` (default; max of actual and
         estimated), ``"actual"``, or ``"estimate"``.
-    :param config_batch: score proposal pools through the compile-once
-        config-batched kernel (``repro.codegen`` lane engine) instead of
-        one ``apply_precision`` + compile + scalar loop per candidate.
-        Results are bit-identical either way; ``False`` forces the
-        per-candidate path (ablation / benchmarking hook).
+    :param config_batch: score each proposal pool through compile-once
+        config-lane kernels — one lane execution of the primal's
+        counting kernel and one of the error-estimating adjoint (built
+        once, over the baseline) — instead of one ``apply_precision`` +
+        compile + run + adjoint build per candidate.  Results are
+        bit-identical either way; ``False`` forces the per-candidate
+        path (the test oracle, and an ablation / benchmarking hook).
     """
+
+    #: cost-ledger counters (``eval_stats``); parallel workers ship
+    #: their increments back to the parent evaluator
+    LEDGER = (
+        "n_pool_runs",
+        "n_pool_lanes",
+        "n_pool_fallbacks",
+        "n_adjoint_builds",
+        "n_estimate_lane_runs",
+        "n_estimate_lanes",
+        "n_estimate_fallbacks",
+    )
 
     def __init__(
         self,
@@ -183,7 +206,7 @@ class CandidateEvaluator:
         self.cost_model = cost_model
         self.approx = approx
         self.error_metric = error_metric
-        self.cache = cache
+        self.cache = _resolve_cache(cache)
         self._agg_name, self._agg = resolve_aggregator(aggregate)
         if estimate_model is None:
             from repro.core.models import TaylorModel
@@ -206,27 +229,32 @@ class CandidateEvaluator:
         self.config_batch = bool(config_batch)
         self._runner_built = False
         self._runner = None
-        #: config-batch telemetry: lanes executed, pool runs, fallbacks
-        self.n_pool_lanes = 0
-        self.n_pool_runs = 0
-        self.n_pool_fallbacks = 0
+        self._lanes_built = False
+        self._lanes = None
+        #: config-batch telemetry: primal lanes executed, pool runs,
+        #: fallbacks; adjoint builds; estimate lane runs, lanes and
+        #: fallbacks (see :attr:`LEDGER`)
+        for name in self.LEDGER:
+            setattr(self, name, 0)
 
     # -- preparation --------------------------------------------------------
     def prepare(self) -> None:
-        """Measure the reference points (and prewarm the reference
-        sweep) once.  Idempotent; called implicitly by evaluation and
-        explicitly by :class:`ParallelEvaluator` before forking so
-        workers inherit the compiled artifacts."""
+        """Measure the reference points, build the error-estimating
+        adjoint and compile the lane kernels, once.  Idempotent; called
+        implicitly by evaluation and explicitly by
+        :class:`ParallelEvaluator` before forking so workers inherit the
+        compiled artifacts."""
         if self._references is not None:
             return
+        before = adjoint_builds()
         # one compiled counting variant serves every validation point
         run = counting_runner(self.fn, self.cost_model, self.approx)
         self._references = [
             ReferencePoint(*run(args)) for args in self.points
         ]
         if self.samples is not None:
-            # prewarm: reference estimate (also populates the estimator
-            # memo with the reference adjoint pre-fork)
+            # reference estimate: builds the search's one adjoint (into
+            # the estimator memo, pre-fork)
             run_sweep(
                 self.fn,
                 samples=self.samples,
@@ -234,9 +262,11 @@ class CandidateEvaluator:
                 model=self.estimate_model,
                 cache=self.cache,
             )
-        # prewarm the config-batched kernel too: forked workers inherit
-        # the compiled lanes (it lives in the fingerprint-keyed memo)
+        # compile the config-lane kernels too: forked workers inherit
+        # them (they live in fingerprint-keyed memos)
         self.pool_runner()
+        self.estimate_lanes()
+        self.n_adjoint_builds += adjoint_builds() - before
 
     @property
     def references(self) -> List[ReferencePoint]:
@@ -260,6 +290,30 @@ class CandidateEvaluator:
         """Lane layout in use (``"grid"``/``"perpoint"``), or ``None``."""
         runner = self.pool_runner()
         return runner.mode if runner is not None else None
+
+    def estimate_lanes(self):
+        """``(ConfigBatchedEstimator, sweep args)`` of the baseline
+        adjoint, or ``None`` when there is no input sweep, lanes are
+        disabled, or the kernel or model cannot be laned (per-candidate
+        estimates)."""
+        if not self._lanes_built:
+            self._lanes_built = True
+            model = self.estimate_model
+            # an uncacheable model would build an unshared estimator
+            # here only for lane_kernel to refuse it
+            if (
+                self.config_batch
+                and self.samples is not None
+                and model.cacheable
+            ):
+                est = cached_error_estimator(self.fn, model=model)
+                facade = est.config_batched
+                if facade.lane_kernel(self.samples) is not None:
+                    args = build_args(
+                        est.primal_ir, self.samples, self.fixed
+                    )
+                    self._lanes = (facade, args)
+        return self._lanes
 
     def restore(self, candidates: Sequence[EvaluatedCandidate]) -> int:
         """Seed the memo and history with previously computed results.
@@ -292,7 +346,8 @@ class CandidateEvaluator:
         return self.n_restored
 
     def eval_stats(self) -> Dict[str, object]:
-        """Evaluation counters (memoization and config-batching)."""
+        """Evaluation counters: memoization, config-batching and the
+        cost ledger (adjoint builds, estimate lane runs)."""
         return {
             "computed": self.n_computed,
             "memo_hits": self.n_memo_hits,
@@ -301,6 +356,10 @@ class CandidateEvaluator:
             "pool_runs": self.n_pool_runs,
             "pool_lanes": self.n_pool_lanes,
             "pool_fallbacks": self.n_pool_fallbacks,
+            "adjoint_builds": self.n_adjoint_builds,
+            "estimate_lane_runs": self.n_estimate_lane_runs,
+            "estimate_lanes": self.n_estimate_lanes,
+            "estimate_fallbacks": self.n_estimate_fallbacks,
         }
 
     # -- evaluation ---------------------------------------------------------
@@ -370,88 +429,163 @@ class CandidateEvaluator:
     ) -> List[EvaluatedCandidate]:
         """Serial pool computation (overridden by ParallelEvaluator).
 
-        The config-batched path scores the whole pool — K configs × N
-        validation points — through one compiled lane kernel; the
-        per-candidate path (``config_batch=False``, unvectorizable
-        kernels, or pools a lane batch cannot express) compiles and
-        runs each configuration separately.  Scores are bit-identical.
+        The config-batched path scores the whole pool — K ≥ 2 configs ×
+        N validation points — through one execution of the compiled
+        counting lane kernel, and estimates it — any K configs × the
+        input sweep — through one execution of the compiled config-lane
+        adjoint.  The per-candidate path (``config_batch=False``,
+        kernels or pools the lanes cannot express) applies, compiles
+        and runs each configuration separately.  Scores are
+        bit-identical.
         """
+        self.prepare()
+        before = adjoint_builds()
+        try:
+            measured = self._measure_pool(configs)
+            estimates = self._estimate_pool(configs)
+            out = []
+            for config, m, est in zip(configs, measured, estimates):
+                mixed = None
+                if m is None or (self.samples is not None and est is None):
+                    mixed = (
+                        apply_precision(self.fn, config)
+                        if config
+                        else self.fn
+                    )
+                if m is None:
+                    m = self._measure(config, mixed)
+                if self.samples is not None and est is None:
+                    est = self._estimate(mixed)
+                out.append(self._finish(config, m[0], m[1], est))
+            return out
+        finally:
+            self.n_adjoint_builds += adjoint_builds() - before
+
+    def _measure_pool(
+        self, configs: Sequence[PrecisionConfig]
+    ) -> List[Optional[Tuple[List[float], float]]]:
+        """``(point errors, cycles)`` per config from one counting lane
+        execution for pools of two or more; ``None`` entries go
+        per-candidate."""
+        refs = self.references
+        out: List[Optional[Tuple[List[float], float]]] = [
+            None if c else ([0.0 for _ in refs], sum(r.cost for r in refs))
+            for c in configs
+        ]
         runner = self.pool_runner()
         pool = [c for c in configs if c]
         if runner is None or len(pool) < 2:
-            return [self._compute(c) for c in configs]
+            # one configuration runs at least as fast as compiled
+            # scalar code, and far faster in the per-point layout
+            return out
         try:
             values, costs = runner(pool, self.points)
         except ConfigLoweringError:
+            LANE_FALLBACKS.inc()
             self.n_pool_fallbacks += 1
-            return [self._compute(c) for c in configs]
+            return out
         self.n_pool_runs += 1
         self.n_pool_lanes += len(pool)
-        lanes: Dict[int, EvaluatedCandidate] = {}
-        for lane, config in enumerate(pool):
+        lanes = iter(range(len(pool)))
+        for i, config in enumerate(configs):
+            if not config:
+                continue
+            lane = next(lanes)
             errors = [
                 abs(ref.value - float(values[lane, j]))
-                for j, ref in enumerate(self.references)
+                for j, ref in enumerate(refs)
             ]
             cycles = 0.0
             for j in range(len(self.points)):
                 cycles += float(costs[lane, j])
-            lanes[id(config)] = self._finish(config, errors, cycles)
-        return [
-            lanes[id(c)] if c else self._compute(c) for c in configs
-        ]
+            out[i] = (errors, cycles)
+        return out
 
-    def _compute(self, config: PrecisionConfig) -> EvaluatedCandidate:
-        """Score one configuration from scratch (pure: no memo access,
-        no index assignment — safe to run in a worker process)."""
-        refs = self.references
-        if config:
-            mixed_fn = apply_precision(self.fn, config)
-            run = counting_runner(mixed_fn, self.cost_model, self.approx)
-            errors: List[float] = []
-            cycles = 0.0
-            for ref, args in zip(refs, self.points):
-                value, cost = run(args)
-                errors.append(abs(ref.value - value))
-                cycles += cost
-        else:
-            mixed_fn = self.fn
-            errors = [0.0 for _ in refs]
-            cycles = sum(r.cost for r in refs)
-        return self._finish(config, errors, cycles, mixed_fn=mixed_fn)
+    def _estimate_pool(
+        self, configs: Sequence[PrecisionConfig]
+    ) -> List[Optional[float]]:
+        """Aggregated estimated error per config — sweep-cache hits, the
+        rest from one config-lane execution of the baseline adjoint;
+        ``None`` entries go per-candidate (or there is no sweep)."""
+        out: List[Optional[float]] = [None] * len(configs)
+        if self.samples is None:
+            return out
+        lanes = self.estimate_lanes()
+        if lanes is None:
+            if self.config_batch:
+                self.n_estimate_fallbacks += 1
+            return out
+        facade, args = lanes
+        keys: List[Optional[str]] = [None] * len(configs)
+        todo: List[int] = []
+        for i, config in enumerate(configs):
+            if self.cache is not None:
+                mixed = (
+                    apply_precision(self.fn, config) if config else self.fn
+                )
+                keys[i] = make_key(mixed, self.estimate_model, args)
+                hit = self.cache.get(keys[i])
+                if hit is not None:
+                    out[i] = self._aggregate(hit.total_error)
+                    continue
+            todo.append(i)
+        if not todo:
+            return out
+        rep = facade.execute_lanes([configs[i] for i in todo], *args)
+        if rep is None:
+            self.n_estimate_fallbacks += 1
+            return out
+        self.n_estimate_lane_runs += 1
+        self.n_estimate_lanes += len(todo)
+        for lane, i in enumerate(todo):
+            out[i] = self._aggregate(rep.total_error[lane])
+            if self.cache is not None:
+                self.cache.put(keys[i], rep.report(lane))
+        return out
+
+    def _measure(
+        self, config: PrecisionConfig, mixed_fn: N.Function
+    ) -> Tuple[List[float], float]:
+        """Per-candidate ``(point errors, cycles)``: compile and run the
+        demoted program at every validation point."""
+        run = counting_runner(mixed_fn, self.cost_model, self.approx)
+        errors: List[float] = []
+        cycles = 0.0
+        for ref, args in zip(self.references, self.points):
+            value, cost = run(args)
+            errors.append(abs(ref.value - value))
+            cycles += cost
+        return errors, cycles
+
+    def _estimate(self, mixed_fn: N.Function) -> float:
+        """Per-candidate estimate: one sweep of the demoted program's
+        own (memoized, cached) error-estimating adjoint."""
+        batch = run_sweep(
+            mixed_fn,
+            samples=self.samples,
+            fixed=self.fixed,
+            model=self.estimate_model,
+            cache=self.cache,
+        )
+        return self._aggregate(batch.total_error)
+
+    def _aggregate(self, total_error) -> float:
+        return float(self._agg(np.asarray(total_error, dtype=np.float64)))
 
     def _finish(
         self,
         config: PrecisionConfig,
         errors: List[float],
         cycles: float,
-        mixed_fn: Optional[N.Function] = None,
+        estimated: Optional[float],
     ) -> EvaluatedCandidate:
-        """Shared scoring tail: sweep estimate, objective, candidate.
+        """Shared scoring tail: objective and candidate.
 
-        Both computation paths funnel through here so the aggregation
+        Both computation paths funnel through here so the objective
         arithmetic (and therefore every float in the result) is the
         same code either way.
         """
-        refs = self.references
-        cycles_ref = sum(r.cost for r in refs)
-        estimated: Optional[float] = None
-        if self.samples is not None:
-            if mixed_fn is None:
-                mixed_fn = (
-                    apply_precision(self.fn, config) if config else self.fn
-                )
-            batch = run_sweep(
-                mixed_fn,
-                samples=self.samples,
-                fixed=self.fixed,
-                model=self.estimate_model,
-                cache=self.cache,
-            )
-            estimated = float(
-                self._agg(np.asarray(batch.total_error, dtype=np.float64))
-            )
-
+        cycles_ref = sum(r.cost for r in self.references)
         actual = max(errors)
         if self.error_metric == "actual" or estimated is None:
             objective = actual

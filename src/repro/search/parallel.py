@@ -73,7 +73,7 @@ class WorkerHangError(RuntimeError):
 
 def _worker_compute_block(
     payload: Tuple[List[PrecisionConfig], bool],
-) -> Tuple[List[EvaluatedCandidate], Tuple[int, int, int]]:
+) -> Tuple[List[EvaluatedCandidate], Tuple[int, ...]]:
     """Score one contiguous block of a proposal pool in a worker.
 
     Runs the *serial* pool computation — i.e. the config-batched lane
@@ -83,9 +83,10 @@ def _worker_compute_block(
     compiles.  Lane results are independent of how the pool is split,
     so block results are bit-identical to the serial evaluator's.
 
-    Also returns the block's pool-telemetry deltas — the worker's
-    counter increments die with the fork, so the parent re-applies
-    them to keep ``eval_stats()`` truthful under parallelism.
+    Also returns the block's cost-ledger deltas
+    (:attr:`CandidateEvaluator.LEDGER`) — the worker's counter
+    increments die with the fork, so the parent re-applies them to keep
+    ``eval_stats()`` truthful under parallelism.
 
     ``payload`` is ``(configs, kill)``; a poisoned block (parent-side
     ``worker.exec`` fault draw) hard-kills this worker — ``os._exit``,
@@ -97,7 +98,7 @@ def _worker_compute_block(
         os._exit(86)
     ev = _FORK_EVALUATOR
     assert ev is not None, "worker forked without evaluator"
-    before = (ev.n_pool_runs, ev.n_pool_lanes, ev.n_pool_fallbacks)
+    before = [getattr(ev, name) for name in ev.LEDGER]
     # worker attribution: the span's pid field identifies which forked
     # process scored this block (the inherited tracer appends to the
     # same O_APPEND trace file, one atomic line per record).  The
@@ -108,10 +109,8 @@ def _worker_compute_block(
         tracer._stack().clear()
     with obs_trace.span("search.worker", k=len(configs)):
         out = CandidateEvaluator._compute_many(ev, configs)
-    delta = (
-        ev.n_pool_runs - before[0],
-        ev.n_pool_lanes - before[1],
-        ev.n_pool_fallbacks - before[2],
+    delta = tuple(
+        getattr(ev, name) - b for name, b in zip(ev.LEDGER, before)
     )
     return out, delta
 
@@ -314,8 +313,7 @@ class ParallelEvaluator(CandidateEvaluator):
             self._reap()
             return super()._compute_many(configs)
         with obs_trace.span("search.merge", blocks=len(blocks)):
-            for _, (runs, lanes, fallbacks) in results:
-                self.n_pool_runs += runs
-                self.n_pool_lanes += lanes
-                self.n_pool_fallbacks += fallbacks
+            for _, delta in results:
+                for name, d in zip(self.LEDGER, delta):
+                    setattr(self, name, getattr(self, name) + d)
             return [cand for block, _ in results for cand in block]

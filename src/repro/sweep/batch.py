@@ -30,6 +30,7 @@ from repro.codegen import runtime
 from repro.codegen.npgen import UnvectorizableError, generate_batch_source
 from repro.core.report import ErrorReport
 from repro.ir import nodes as N
+from repro.obs import trace as obs_trace
 from repro.ir.types import ArrayType, DType
 from repro.util.errors import ExecutionError
 
@@ -423,16 +424,19 @@ class ConfigBatchReport:
 class ConfigBatchedEstimator:
     """Config-batch execution façade over one :class:`ErrorEstimator`.
 
-    The vectorized backend renders the estimator's *baseline* adjoint
-    once in precision-parameterized (config-lane) form; per pool it
-    regenerates each configuration's adjoint IR (transform + optimize,
-    **no compilation**), pairs it structurally against the baseline,
-    and reads the per-lane rounding selectors and constants (machine-
-    epsilon factors etc.) off the paired nodes.  One numpy execution
-    then covers all K configurations × N input points.  Pools or
-    kernels the lane form cannot express fall back to one
-    (memoized-compile) estimator per configuration — same numbers,
-    just slower.
+    The vectorized backend compiles the estimator's own adjoint — built
+    once, over the baseline precisions — in config-lane form: ``_rs``
+    rounding selectors and ``_cs`` constants are runtime lane
+    parameters.  Per pool,
+    :func:`~repro.codegen.compile.lower_config_pool` derives each
+    configuration's selectors and machine-epsilon constants directly
+    from its :class:`~repro.tuning.PrecisionConfig` (a typing pass over
+    the adjoint: no transform, no optimize, no compile), and one numpy
+    execution covers all K configurations × N input points.  Kernels,
+    models and pools the lane form cannot express (array parameters,
+    sensitivity traces, non-cacheable or non-precision-parametric
+    models, configs demoting non-float variables) fall back to one
+    (memoized) estimator per configuration — same numbers, slower.
     """
 
     def __init__(self, est: "ErrorEstimator") -> None:
@@ -441,91 +445,82 @@ class ConfigBatchedEstimator:
         self._kernels: Dict[frozenset, Optional[object]] = {}
 
     # -- kernel compilation (once per batched-set) --------------------------
-    def _kernel(self, batched: frozenset):
-        if batched not in self._kernels:
+    def lane_kernel(self, batched: Sequence[str]):
+        """The compiled config-lane adjoint for a swept-parameter set, or
+        ``None`` when the lane form cannot serve this estimator."""
+        est = self.est
+        model = est.module.model
+        if (
+            est._runner.compiled.traces
+            or not model.cacheable
+            or not model.precision_parametric
+            or any(
+                isinstance(p.type, ArrayType) for p in est.primal_ir.params
+            )
+        ):
+            return None
+        key = frozenset(batched)
+        if key not in self._kernels:
             from repro.codegen import runtime
             from repro.codegen.compile import config_lane_kernel
-            from repro.codegen.npgen import UnvectorizableError
 
-            adj = self.est.adjoint_ir
             bindings = {}
-            for name, impl in self.est.module.bindings().items():
+            for name, impl in est.module.bindings().items():
                 bindings[name] = (
                     runtime.exactwise(impl) if callable(impl) else impl
                 )
             try:
-                self._kernels[batched] = config_lane_kernel(
-                    adj,
-                    batched=set(batched),
+                self._kernels[key] = config_lane_kernel(
+                    est.adjoint_ir,
+                    batched=set(key),
                     counting=False,
                     allow_arrays=False,
                     extra_bindings=bindings or None,
                     use_cache=not bindings,
                 )
             except UnvectorizableError:
-                self._kernels[batched] = None
-        return self._kernels[batched]
-
-    # -- pool lowering (per call) -------------------------------------------
-    def _lower(self, kernel, configs: Sequence[object]):
-        from repro.codegen.compile import lower_config_pool_zip
-        from repro.core.api import build_adjoint
-        from repro.core.estimation import ErrorEstimationModule
-        from repro.tuning.config import apply_precision
-
-        est = self.est
-        variants = []
-        for config in configs:
-            mixed = (
-                apply_precision(est.primal_ir, config)
-                if config
-                else est.primal_ir
-            )
-            module = ErrorEstimationModule(model=est.module.model)
-            variants.append(
-                build_adjoint(
-                    mixed,
-                    module,
-                    opt_level=est.opt_level,
-                    minimal_pushes=est.minimal_pushes,
-                )
-            )
-        return lower_config_pool_zip(kernel.program, variants)
+                self._kernels[key] = None
+        return self._kernels[key]
 
     # -- execution ----------------------------------------------------------
-    def execute(
+    def execute_lanes(
         self, configs: Sequence[object], *args: object
-    ) -> ConfigBatchReport:
-        from repro.codegen.compile import ConfigLoweringError
+    ) -> Optional[ConfigBatchReport]:
+        """The lanes backend alone: one execution of the compiled adjoint
+        for the whole pool, or ``None`` (an expected fallback) when the
+        kernel or the pool cannot be expressed as lane parameters."""
+        from repro.codegen.compile import ConfigLoweringError, LANE_FALLBACKS
 
-        est = self.est
-        primal = est.primal_ir
-        configs = list(configs)
-        if not configs:
-            raise ExecutionError(
-                f"{primal.name}: empty configuration pool"
-            )
+        primal = self.est.primal_ir
         batched, n = _scan_sweep_args(primal, args)
-        model = est.module.model
-        kernel = None
-        if (
-            not est._runner.compiled.traces
-            and model.cacheable
-            and not any(
-                isinstance(p.type, ArrayType) for p in primal.params
-            )
-        ):
-            kernel = self._kernel(frozenset(batched))
-        if kernel is not None:
-            try:
-                pool = self._lower(kernel, configs)
-            except ConfigLoweringError:
-                pool = None
-            if pool is not None:
+        kernel = self.lane_kernel(batched)
+        if kernel is None:
+            return None
+        try:
+            with obs_trace.span(
+                "estimate.lanes", kernel=primal.name, k=len(configs), n=n
+            ):
+                pool = kernel.lower(configs, primal=primal)
                 return self._execute_lanes(
                     kernel, pool, configs, args, batched, n
                 )
-        return self._execute_loop(configs, args, n)
+        except ConfigLoweringError:
+            LANE_FALLBACKS.inc()
+            return None
+
+    def execute(
+        self, configs: Sequence[object], *args: object
+    ) -> ConfigBatchReport:
+        configs = list(configs)
+        if not configs:
+            raise ExecutionError(
+                f"{self.est.primal_ir.name}: empty configuration pool"
+            )
+        rep = self.execute_lanes(configs, *args)
+        if rep is None:
+            _, n = _scan_sweep_args(self.est.primal_ir, args)
+            rep = self._execute_loop(configs, args, n)
+        return rep
 
     # -- lanes backend ------------------------------------------------------
     def _execute_lanes(

@@ -69,6 +69,16 @@ class ExecutionError(ReproError):
     """Executing generated or interpreted code failed."""
 
 
+class ExpectedFallback(ReproError):
+    """A fast path cannot express this work; a slower path will.
+
+    Signals a structural limitation, not a bug: callers catch it and
+    take an equivalent path that produces the same numbers.  A traced
+    span this exception leaves closes with ``status: "fallback"``
+    rather than an error status (see :mod:`repro.obs.trace`).
+    """
+
+
 class InputError(ReproError, TypeError):
     """User-supplied data could not be interpreted.
 

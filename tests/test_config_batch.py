@@ -15,8 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps import arclength as arc
 from repro.apps import blackscholes as bs
 from repro.apps import kmeans as km
+from repro.apps import simpsons as simp
 from repro.codegen.compile import (
     ConfigLoweringError,
     clear_config_kernel_cache,
@@ -30,13 +32,15 @@ from repro.codegen.npgen import (
     generate_config_lane_source,
 )
 from repro.core.api import (
+    ErrorEstimator,
     cached_error_estimator,
     clear_estimator_memo,
     estimate_error,
 )
-from repro.core.models import AdaptModel, TaylorModel
+from repro.core.models import AdaptModel, CenaModel, TaylorModel
 from repro.frontend.registry import kernel as register_kernel
 from repro.ir.fingerprint import ir_fingerprint
+from repro.ir.typecheck import collect_var_dtypes
 from repro.ir.types import DType
 from repro.search.evaluate import CandidateEvaluator, config_key
 from repro.search.parallel import ParallelEvaluator
@@ -392,6 +396,20 @@ def cb_simple_kernel(x: float, y: float) -> float:
     return b
 
 
+@register_kernel
+def cb_branchy_kernel(x: float, y: float, n: int) -> float:
+    acc = 0.0
+    for i in range(n):
+        a = sin(x * y) + exp(-y) * 0.5
+        c = sin(x * y) * a
+        if x > 0.0:
+            b = a * sin(x * y) + sqrt(y)
+        else:
+            b = c - x / y
+        acc = acc + b * 0.25
+    return acc
+
+
 class TestFallbacks:
     def test_while_kernel_unvectorizable_falls_back(self):
         fn = cb_while_kernel.ir
@@ -446,31 +464,100 @@ class TestExecuteConfigBatch:
             seed=9,
         )
         args = (sw["sptprice"], 100.0, 0.05, sw["volatility"], 0.5, 0)
-        pool = [PrecisionConfig()] + make_pool(
-            bs.SEARCH_CANDIDATES, 8, seed=7
-        )
-        est = estimate_error(bs.bs_price, model=model_cls())
-        rep = est.execute_config_batch(pool, *args)
-        assert rep.backend == "lanes"
-        assert rep.total_error.shape == (len(pool), 12)
+        pools = [
+            [PrecisionConfig()] + make_pool(bs.SEARCH_CANDIDATES, 8, seed=7),
+            # K=1: one demoted configuration still runs on the lanes
+            make_pool(bs.SEARCH_CANDIDATES, 1, seed=7),
+            [PrecisionConfig()],
+        ]
+        est = ErrorEstimator(bs.bs_price, model=model_cls())
+        for pool in pools:
+            rep = est.execute_config_batch(pool, *args)
+            assert rep.backend == "lanes"
+            assert rep.total_error.shape == (len(pool), 12)
+            for lane, cfg in enumerate(pool):
+                mixed = (
+                    apply_precision(bs.bs_price.ir, cfg)
+                    if cfg
+                    else bs.bs_price.ir
+                )
+                ref = cached_error_estimator(
+                    mixed, model=model_cls()
+                ).execute_batch(*args)
+                assert np.array_equal(ref.values, rep.values[lane])
+                assert np.array_equal(
+                    ref.total_error, rep.total_error[lane]
+                )
+                row = rep.report(lane)
+                for v, e in ref.per_variable.items():
+                    assert np.array_equal(e, row.per_variable[v])
+                for g, a in ref.gradients.items():
+                    assert np.array_equal(
+                        np.asarray(a), row.gradients[g]
+                    )
+
+    @pytest.mark.parametrize(
+        "model_cls",
+        [TaylorModel, AdaptModel, CenaModel],
+        ids=["taylor", "adapt", "cena"],
+    )
+    def test_structured_kernel_lanes_match_per_config(self, model_cls):
+        # branches (if-converted per lane), a counted loop, intrinsics
+        # hoisted by CSE, and demoted parameters: the baseline adjoint,
+        # lowered per configuration, equals each demoted kernel's own
+        fn = cb_branchy_kernel.ir
+        rng = np.random.default_rng(4)
+        args = (rng.uniform(-2.0, 2.0, 9), rng.uniform(0.5, 3.0, 9), 4)
+        names = ("x", "y", "a", "b", "c", "acc")
+        pool = [PrecisionConfig()] + make_pool(names, 16, seed=11)
+        est = ErrorEstimator(fn, model=model_cls())
+        rep = est.config_batched.execute_lanes(pool, *args)
+        assert rep is not None and rep.backend == "lanes"
         for lane, cfg in enumerate(pool):
-            mixed = (
-                apply_precision(bs.bs_price.ir, cfg)
-                if cfg
-                else bs.bs_price.ir
-            )
-            ref = cached_error_estimator(
-                mixed, model=model_cls()
-            ).execute_batch(*args)
-            assert np.array_equal(ref.values, rep.values[lane])
-            assert np.array_equal(
-                ref.total_error, rep.total_error[lane]
+            mixed = apply_precision(fn, cfg) if cfg else fn
+            ref = ErrorEstimator(mixed, model=model_cls()).execute_batch(
+                *args
             )
             row = rep.report(lane)
+            assert np.array_equal(ref.values, row.values)
+            assert np.array_equal(ref.total_error, row.total_error)
+            assert set(ref.per_variable) == set(row.per_variable)
             for v, e in ref.per_variable.items():
                 assert np.array_equal(e, row.per_variable[v])
             for g, a in ref.gradients.items():
-                assert np.array_equal(np.asarray(a), row.gradients[g])
+                assert np.array_equal(a, row.gradients[g])
+
+    def test_lowered_storage_matches_each_configs_adjoint(self):
+        # the typing pass's three dtype sources, checked against the
+        # adjoint each configuration would build for itself: primal
+        # variables follow the config, registers stay f64, optimizer
+        # temporaries follow their (config-typed) initializer
+        from repro.core.api import build_adjoint
+        from repro.core.estimation import ErrorEstimationModule
+
+        fn = cb_branchy_kernel.ir
+        names = ("x", "y", "a", "b", "c", "acc")
+        pool = [PrecisionConfig()] + make_pool(names, 12, seed=5)
+        est = ErrorEstimator(fn)
+        kernel = est.config_batched.lane_kernel({"x", "y"})
+        lowered = kernel.lower(pool, primal=fn)
+        sites = [
+            (i, site.node.name)
+            for i, site in enumerate(kernel.program.round_sites)
+            if site.kind in ("decl", "param")
+        ]
+        assert any(name.startswith("_cse") for _, name in sites)
+        code = {DType.F32: 1, DType.F16: 2}
+        for lane, cfg in enumerate(pool):
+            variant = build_adjoint(
+                apply_precision(fn, cfg) if cfg else fn,
+                ErrorEstimationModule(TaylorModel()),
+            )
+            dtypes = collect_var_dtypes(variant)
+            for i, name in sites:
+                sel = lowered.selectors[i]
+                got = 0 if sel is None else int(sel.codes[lane, 0])
+                assert got == code.get(dtypes[name], 0), (cfg, name)
 
     def test_array_kernel_falls_back_to_loop_backend(self):
         est = estimate_error(km.euclid_dist, model=AdaptModel())
@@ -497,9 +584,97 @@ class TestExecuteConfigBatch:
 # --------------------------------------------------------------------------
 
 
+#: small input-swept search scenarios — the apps whose every candidate
+#: needs an error estimate
+_SWEPT_APPS = {
+    "blackscholes": lambda: bs.search_scenario(n_points=2, n_samples=8),
+    "arclength": lambda: arc.search_scenario(size=12, n_samples=8),
+    "simpsons": lambda: simp.search_scenario(size=12, n_samples=8),
+}
+_SWEPT_BUDGET = 10
+
+
+def _history(res):
+    return [
+        (c.key, c.error, c.actual_error, c.estimated_error, c.cycles)
+        for c in res.evaluations
+    ]
+
+
+@pytest.fixture(scope="module", params=sorted(_SWEPT_APPS))
+def swept(request):
+    """(scenario, per-candidate oracle result) of one swept app."""
+    scen = _SWEPT_APPS[request.param]()
+    oracle = scen.run(seed=1, budget=_SWEPT_BUDGET, config_batch=False)
+    assert oracle.stats["evaluator"]["estimate_lane_runs"] == 0
+    return scen, oracle
+
+
 class TestSearchIntegration:
     def _front_fp(self, res):
         return [(p.key, p.error, p.cycles) for p in res.front.points]
+
+    def _assert_matches(self, res, oracle):
+        assert _history(res) == _history(oracle)
+        assert self._front_fp(res) == self._front_fp(oracle)
+
+    def test_swept_default_search_matches_per_candidate(self, swept):
+        scen, oracle = swept
+        res = scen.run(seed=1, budget=_SWEPT_BUDGET)
+        self._assert_matches(res, oracle)
+        ev = res.stats["evaluator"]
+        assert ev["estimate_lane_runs"] >= 1
+        assert ev["estimate_lanes"] == ev["computed"]
+        assert ev["estimate_fallbacks"] == 0
+
+    def test_swept_parallel_search_matches_per_candidate(self, swept):
+        scen, oracle = swept
+        res = scen.run(seed=1, budget=_SWEPT_BUDGET, workers=2)
+        self._assert_matches(res, oracle)
+        if res.parallel:
+            assert res.stats["evaluator"]["estimate_lanes"] >= 1
+
+    def test_swept_resumed_search_matches_per_candidate(
+        self, swept, tmp_path
+    ):
+        from repro.search import RunStore
+
+        scen, oracle = swept
+        full = scen.run(
+            seed=1, budget=_SWEPT_BUDGET, store=tmp_path / "full"
+        )
+        self._assert_matches(full, oracle)
+        # the store state a run killed after k evaluations leaves
+        store = RunStore(tmp_path / "full")
+        k = len(oracle.evaluations) // 2
+        manifest = dict(store.load_manifest(full.run_id))
+        manifest.update(
+            completed=False, n_evaluations=k, baseline_key=None, front=None
+        )
+        RunStore(tmp_path / "snap").save_run(
+            manifest, store.load_records(full.run_id)[:k]
+        )
+        resumed = scen.run(
+            seed=1,
+            budget=_SWEPT_BUDGET,
+            store=tmp_path / "snap",
+            resume=True,
+        )
+        assert resumed.resumed and resumed.n_restored == k
+        self._assert_matches(resumed, oracle)
+
+    def test_adjoint_builds_independent_of_budget(self):
+        # one error-estimating adjoint per search, however many
+        # candidates it scores (counts builds: machine-independent)
+        builds = []
+        for budget in (12, 48):
+            clear_estimator_memo()
+            clear_config_kernel_cache()
+            res = bs.search_scenario().run(seed=1, budget=budget)
+            assert res.n_evaluated == budget
+            builds.append(res.stats["evaluator"]["adjoint_builds"])
+        assert builds[0] == builds[1]
+        assert 1 <= builds[0] <= 3
 
     def test_search_config_batch_identical_to_per_candidate(self):
         scen = km.search_scenario(size=10, n_workloads=2)

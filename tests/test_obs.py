@@ -20,6 +20,7 @@ from repro.obs.profile import (
     summarize_records,
 )
 from repro.search import search
+from repro.util.errors import ExpectedFallback
 
 
 @pytest.fixture(autouse=True)
@@ -72,6 +73,55 @@ class TestTracer:
         assert by_name["failing"]["status"] == "error:ValueError"
         assert by_name["after"]["parent"] is None
         assert by_name["after"]["status"] == "ok"
+
+    def test_expected_fallback_labelled_not_error(self, tmp_path):
+        from repro.apps import blackscholes as bs
+        from repro.core.api import ErrorEstimator
+        from repro.obs.metrics import REGISTRY
+        from repro.tuning.config import PrecisionConfig
+        from repro.tuning.validate import pool_counting_runner
+
+        fallbacks = REGISTRY.counter("repro_lane_fallbacks_total")
+        before = fallbacks.value
+        trace.enable(tmp_path / "t.jsonl")
+        with pytest.raises(ExpectedFallback):
+            with trace.span("expected"):
+                raise ExpectedFallback("why")
+        # a kernel the config-lane generator cannot render: both lane
+        # layouts fail, the runner falls back to per-candidate runs
+        assert pool_counting_runner(obs_while_kernel.ir) is None
+        # a pool the adjoint lanes cannot express: demoting an integer
+        est = ErrorEstimator(bs.bs_price)
+        args = (np.array([90.0, 110.0]), 100.0, 0.05, 0.2, 0.5, 0)
+        pool = [PrecisionConfig.demote(["otype"])]
+        assert est.config_batched.execute_lanes(pool, *args) is None
+        with pytest.raises(ValueError):
+            with trace.span("real"):
+                raise ValueError("boom")
+        trace.disable()
+        records = load_trace(tmp_path / "t.jsonl")
+        by_name = {}
+        for r in records:
+            by_name.setdefault(r["name"], []).append(r)
+        assert by_name["expected"][0]["status"] == "fallback"
+        assert by_name["expected"][0]["attrs"] == {
+            "site": "expected", "reason": "why"
+        }
+        compiles = [
+            r
+            for r in by_name["codegen.compile"]
+            if r["attrs"]["kernel"] == "obs_while_kernel"
+        ]
+        assert len(compiles) == 2
+        for r in compiles:
+            assert r["status"] == "fallback"
+            assert r["attrs"]["site"] == "codegen.compile"
+            assert "while" in r["attrs"]["reason"]
+        (lanes,) = by_name["estimate.lanes"]
+        assert lanes["status"] == "fallback"
+        assert "non-float variable 'otype'" in lanes["attrs"]["reason"]
+        assert by_name["real"][0]["status"] == "error:ValueError"
+        assert fallbacks.value - before == 3
 
     def test_concurrent_writers_emit_valid_jsonl(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -401,6 +451,14 @@ def obs_kernel(n: int, h: float, data: "f64[]") -> float:
     return s
 
 
+@kernel
+def obs_while_kernel(x: float) -> float:
+    s = 0.0
+    while s < x:  # trip count depends on lane data: not laneable
+        s = s + 0.25
+    return s
+
+
 def _obs_points(n=32, seeds=(5, 6)):
     out = []
     for seed in seeds:
@@ -468,4 +526,36 @@ class TestSearchTracingBitIdentity:
         # and the trace file itself holds the same span tree
         records = load_trace(tmp_path / "search.jsonl")
         names = {r["name"] for r in records}
-        assert {"search.run", "search.batch", "estimate.build"} <= names
+        assert {
+            "search.run",
+            "search.batch",
+            "estimate.build",
+            "estimate.transform",
+            "estimate.optimize",
+            "estimate.compile",
+        } <= names
+        # the build steps are children of their build span
+        builds = {
+            r["span"] for r in records if r["name"] == "estimate.build"
+        }
+        for r in records:
+            if r["name"] in ("estimate.transform", "estimate.compile"):
+                assert r["parent"] in builds
+
+    def test_traced_swept_search_shows_adjoint_lanes(self, tmp_path):
+        # an input-swept search estimates each pool with one lane
+        # execution of the baseline adjoint, under search.batch
+        from repro.apps import blackscholes as bs
+
+        trace.enable(tmp_path / "swept.jsonl")
+        res = bs.search_scenario(n_points=2, n_samples=8).run(
+            seed=1, budget=6
+        )
+        trace.disable()
+        records = load_trace(tmp_path / "swept.jsonl")
+        by_id = {r["span"]: r for r in records}
+        lanes = [r for r in records if r["name"] == "estimate.lanes"]
+        assert len(lanes) == res.stats["evaluator"]["estimate_lane_runs"]
+        assert lanes and all(r["status"] == "ok" for r in lanes)
+        for r in lanes:
+            assert by_id[r["parent"]]["name"] == "search.batch"
