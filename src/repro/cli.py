@@ -208,6 +208,14 @@ def _print_search_stats(stats: Optional[Dict[str, object]]) -> None:
             f"hits={kern.get('hits')} misses={kern.get('misses')} "
             f"unvectorizable={kern.get('unvectorizable')}"
         )
+    nat = stats.get("native_runtime")
+    if nat:
+        print(
+            f"lane runtime: {nat.get('state')} "
+            f"build_s={nat.get('build_s', 0.0):.3f} "
+            f"recomputes={nat.get('recomputes')}"
+            + (f" reason={nat['reason']}" if nat.get("reason") else "")
+        )
     sweep = stats.get("sweep_cache")
     if sweep is not None:
         print(

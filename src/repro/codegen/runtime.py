@@ -11,6 +11,14 @@ modes exist:
   baseline's taping ``AdFloat``; this is what lets the ADAPT baseline run
   the *same* generated primal code through operator overloading, exactly
   like CoDiPack types flowing through templated C++ in the paper.
+
+Lane code (sweep batches and config lanes, :func:`batch_bindings` /
+:func:`config_lane_bindings`) binds exact IEEE operations to their
+ufuncs and libm transcendentals to the native loops of
+:mod:`repro.codegen.native`, which are bitwise identical to ``math.*``.
+:func:`exactwise` lifts everything else elementwise: FastApprox
+variants, user-bound callables, and — where the native library cannot
+be built or fails its load-time probe — the transcendentals too.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from typing import Callable, Dict, Optional, Set
 
 import numpy as np
 
+from repro.codegen import native
 from repro.fp.precision import round_f16, round_f32
 from repro.frontend.intrinsics import INTRINSICS
 
@@ -79,7 +88,10 @@ def exactwise(impl: Callable) -> Callable:
     numpy's SIMD transcendentals (``np.exp`` etc.) may differ from
     ``math.exp`` by an ulp, and error models of the form
     ``x - (float)x`` amplify a one-ulp input difference catastrophically.
-    The sweep engine's per-point-match guarantee rests on this wrapper.
+    It defines the semantics the native loops reproduce, and it runs
+    where they do not: FastApprox variants and user-bound callables,
+    the native loops' recompute of non-finite outputs, and every
+    transcendental on machines without the native library.
 
     Works for any broadcast shape: the input-sweep engine feeds 1-D
     batches, the config-batched engine ``(K, N)`` lane grids.
@@ -128,20 +140,23 @@ def _batch_step_ge(x, y):
 def batch_bindings() -> Dict[str, object]:
     """Globals for NumPy-vectorized (batch) execution.
 
-    Exact IEEE operations bind to their ufuncs; transcendentals (and the
-    bit-trick FastApprox variants) go through :func:`exactwise` so every
-    lane reproduces the scalar path bit-for-bit.  The arithmetic between
-    calls — the bulk of an adjoint — is plain vectorized numpy.
+    Exact IEEE operations bind to their ufuncs; libm transcendentals to
+    the native loops (:func:`repro.codegen.native.loops`, built on
+    first use), everything else — and the transcendentals when the
+    native library is unavailable — goes through :func:`exactwise`, so
+    every lane reproduces the scalar path bit-for-bit.  The arithmetic
+    between calls — the bulk of an adjoint — is plain vectorized numpy.
     """
     g: Dict[str, object] = {"__builtins__": {"range": range, "int": int,
                                              "float": float, "abs": abs,
                                              "len": len, "bool": bool}}
+    native_loops = native.loops()
     for name, info in INTRINSICS.items():
         impl = _NP_EXACT_INTRINSICS.get(name)
         if name == "step_ge":
             impl = _batch_step_ge
         if impl is None:
-            impl = exactwise(info.impl)
+            impl = native_loops.get(name) or exactwise(info.impl)
         g[f"_i_{name}"] = impl
     g["_c32"] = _batch_c32
     g["_c16"] = _batch_c16

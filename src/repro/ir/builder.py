@@ -7,10 +7,12 @@ code terse and make sure ``dtype`` is always populated.
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, TypeVar, Union
 
 from repro.ir import nodes as N
-from repro.ir.types import DType, promote
+from repro.ir.types import DType, Type, promote
+
+_T = TypeVar("_T")
 
 
 def const(value: Union[float, int, bool], dtype: Optional[DType] = None) -> N.Const:
@@ -120,9 +122,39 @@ def accumulate(target: N.LValue, value: N.Expr) -> N.Assign:
     return N.Assign(clone(target), add(read, value))
 
 
-def clone(node):
-    """Deep-copy an IR subtree (nodes are mutable dataclasses)."""
-    return copy.deepcopy(node)
+#: values a clone shares with its original: immutable scalars and
+#: enums; frozen :class:`~repro.ir.types.Type`\ s are shared too
+_SHARED = frozenset({str, int, float, bool, type(None), DType})
+
+
+def _copy(x: Any) -> Any:
+    t = type(x)
+    if t in _SHARED:
+        return x
+    if t is list:
+        return [_copy(v) for v in x]
+    if isinstance(x, (N.Expr, N.Stmt, N.Param, N.Function)):
+        new = object.__new__(t)
+        new.__dict__.update({k: _copy(v) for k, v in x.__dict__.items()})
+        return new
+    if isinstance(x, Type):
+        return x
+    if t is dict:
+        return {k: _copy(v) for k, v in x.items()}
+    if t is tuple:
+        return tuple(_copy(v) for v in x)
+    return copy.deepcopy(x)
+
+
+def clone(node: _T) -> _T:
+    """Copy an IR subtree (nodes are mutable dataclasses).
+
+    A structural copy over the IR dataclasses: every node, list and
+    dict (``Function.meta`` included) is copied, while strings,
+    numbers, dtypes and the frozen types are shared.  Values of any
+    other type inside ``meta`` are deep-copied.
+    """
+    return _copy(node)
 
 
 def for_range(

@@ -568,6 +568,7 @@ def run_search(
     )
     if ev_cls is ParallelEvaluator:
         ev_kwargs["workers"] = int(workers)
+    from repro.codegen import native
     from repro.codegen.compile import _cache_stats
 
     evaluator = ev_cls(fn, points, **ev_kwargs)
@@ -592,6 +593,7 @@ def run_search(
 
         evaluator.checkpoint = _on_computed
     kernel_cache_before = _cache_stats()
+    native_before = native.stats()
     obs_metrics.REGISTRY.counter(
         "repro_search_runs_total", "precision searches driven"
     ).inc()
@@ -681,10 +683,13 @@ def run_search(
             kernel_cache = dict(_cache_stats())
             for counter in ("hits", "misses", "unvectorizable"):
                 kernel_cache[counter] -= kernel_cache_before[counter]
+            native_runtime = native.stats()
+            native_runtime["recomputes"] -= native_before["recomputes"]
             stats: Dict[str, object] = {
                 "evaluator": evaluator.eval_stats(),
                 "estimator_memo": _memo_stats(),
                 "config_kernel_cache": kernel_cache,
+                "native_runtime": native_runtime,
             }
             if sweep_cache is not None:
                 stats["sweep_cache"] = sweep_cache.cache_stats()

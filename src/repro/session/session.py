@@ -837,6 +837,7 @@ class Session:
         registry (:data:`repro.obs.metrics.REGISTRY`) — the same
         instruments ``/v1/metrics?format=prom`` exposes when serving.
         """
+        from repro.codegen import native
         from repro.codegen.compile import _cache_stats
 
         out: Dict[str, object] = {
@@ -844,6 +845,7 @@ class Session:
             "config_fingerprint": self.config.fingerprint(),
             "estimator_memo": self.estimator_memo_stats(),
             "config_kernel_cache": dict(_cache_stats()),
+            "native_runtime": native.stats(),
         }
         if self._cache is not None:
             out["sweep_cache"] = self._cache.cache_stats()
